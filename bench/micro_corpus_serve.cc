@@ -1,14 +1,14 @@
 // Microbenchmark for the corpus-serving read path: decode throughput per
-// I/O backend (stream vs pread vs mmap), the decoded-chunk cache's
+// I/O backend (pread vs mmap), the decoded-chunk cache's
 // warm-vs-cold effect across capacities, and concurrent reader scaling
 // over one shared CorpusReader handle. Plain-main (no google-benchmark)
 // so it runs everywhere; emits BENCH_micro_corpus_serve.json lines for
 // cross-PR tracking.
 //
 // The acceptance row is the "cache" section: warm-cache corpus replay
-// must beat the cold ifstream baseline by >= 2x
-// (warm_vs_cold_stream_speedup), and every backend must decode the exact
-// same bytes (fingerprint-checked here, bit-asserted in tests).
+// must beat the cold pread baseline by >= 2x (warm_vs_cold_speedup),
+// and both backends must decode the exact same bytes (fingerprint-checked
+// here, bit-asserted in tests).
 
 #include <chrono>
 #include <cstdio>
@@ -115,15 +115,14 @@ uint64_t VerifyPass(const CorpusReader& corpus) {
   return fp.value();
 }
 
-// Cold decode throughput per backend; all three must produce the same
-// event fingerprint. Returns the cold stream-backend seconds (the
-// baseline the cache section compares against).
+// Cold decode throughput per backend; both must produce the same event
+// fingerprint. Returns the cold pread-backend seconds (the baseline the
+// cache section compares against).
 double RunBackendBench(BenchJsonWriter& json) {
   const uint64_t total_events = kEntries * kEventsPerEntry;
-  double stream_seconds = 0.0;
+  double pread_seconds = 0.0;
   uint64_t reference_fp = 0;
-  for (IoBackend backend :
-       {IoBackend::kStream, IoBackend::kPread, IoBackend::kMmap}) {
+  for (IoBackend backend : {IoBackend::kPread, IoBackend::kMmap}) {
     auto corpus = CorpusReader::Open(kCorpusPath, Options(backend, 0));
     CHECK(corpus.ok()) << corpus.status();
     CHECK_EQ(static_cast<int>(corpus->io_backend()), static_cast<int>(backend));
@@ -136,8 +135,8 @@ double RunBackendBench(BenchJsonWriter& json) {
     const uint64_t timed_bytes_read = corpus->bytes_read();
     // Untimed equivalence check: all backends decode the same events.
     const uint64_t fp = VerifyPass(*corpus);
-    if (backend == IoBackend::kStream) {
-      stream_seconds = seconds;
+    if (backend == IoBackend::kPread) {
+      pread_seconds = seconds;
       reference_fp = fp;
     } else {
       CHECK_EQ(fp, reference_fp) << "backend decode mismatch";
@@ -156,12 +155,12 @@ double RunBackendBench(BenchJsonWriter& json) {
         .Int("bytes_read", timed_bytes_read);
     json.Write(line);
   }
-  return stream_seconds;
+  return pread_seconds;
 }
 
 // Cache-capacity sweep on the mmap backend: cold pass, then a warm pass
-// over the same reader. The acceptance number is warm-vs-cold-stream.
-void RunCacheBench(double cold_stream_seconds, BenchJsonWriter& json) {
+// over the same reader. The acceptance number is warm-vs-cold-pread.
+void RunCacheBench(double cold_pread_seconds, BenchJsonWriter& json) {
   const uint64_t total_events = kEntries * kEventsPerEntry;
   for (uint64_t cache_mb : {0ull, 4ull, 256ull}) {
     auto corpus =
@@ -191,13 +190,13 @@ void RunCacheBench(double cold_stream_seconds, BenchJsonWriter& json) {
             : static_cast<double>(warm_hits) /
                   static_cast<double>(warm_hits + warm_misses);
     const double warm_meps = total_events / warm_seconds / 1e6;
-    const double speedup_vs_cold_stream = cold_stream_seconds / warm_seconds;
+    const double speedup_vs_cold = cold_pread_seconds / warm_seconds;
     std::printf(
         "cache %4llu MB : cold %6.2f Mev/s  warm %7.2f Mev/s  "
-        "warm hit rate %5.1f%%  warm vs cold-stream %5.2fx\n",
+        "warm hit rate %5.1f%%  warm vs cold-pread %5.2fx\n",
         static_cast<unsigned long long>(cache_mb),
         total_events / cold_seconds / 1e6, warm_meps, 100.0 * warm_hit_rate,
-        speedup_vs_cold_stream);
+        speedup_vs_cold);
 
     JsonLine line = json.Line();
     line.Str("section", "cache")
@@ -212,14 +211,14 @@ void RunCacheBench(double cold_stream_seconds, BenchJsonWriter& json) {
         .Int("cache_hits", stats.hits)
         .Int("cache_misses", stats.misses)
         .Int("cache_evictions", stats.evictions)
-        .Num("warm_vs_cold_stream_speedup", speedup_vs_cold_stream);
+        .Num("warm_vs_cold_speedup", speedup_vs_cold);
     json.Write(line);
   }
 }
 
 // Concurrent serving: N threads each doing a full pass over one shared
-// CorpusReader (overlapping entries — the worst case for a per-reader
-// stream, the best case for the shared cache).
+// CorpusReader (overlapping entries — the worst case for per-reader
+// handles, the best case for the shared cache).
 void RunConcurrencyBench(BenchJsonWriter& json) {
   const unsigned cores = std::thread::hardware_concurrency();
   for (int thread_count : {1, 2, 4, 8}) {
@@ -636,8 +635,8 @@ void RunAll() {
   PrintBanner("micro: corpus serving — backends, chunk cache, concurrency");
   BenchJsonWriter json("micro_corpus_serve");
   BuildCorpus();
-  const double cold_stream_seconds = RunBackendBench(json);
-  RunCacheBench(cold_stream_seconds, json);
+  const double cold_pread_seconds = RunBackendBench(json);
+  RunCacheBench(cold_pread_seconds, json);
   RunConcurrencyBench(json);
   RunAppendBench(json);
   RunAppendScalingBench(json);

@@ -11,7 +11,7 @@
 #include "bench/bench_util.h"
 #include "src/trace/block_compress.h"
 #include "src/trace/trace_reader.h"
-#include "src/trace/trace_store.h"
+#include "src/trace/trace_writer.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
@@ -93,11 +93,13 @@ void RunBench(uint64_t num_events, int iterations, BenchJsonWriter& json) {
   const double file_bytes = static_cast<double>(image.size());
 
   // Save + full load through disk.
-  CHECK(TraceStore::Save(kTmpPath, recording, options).ok());
+  CHECK(writer.WriteFile(kTmpPath, recording).ok());
   start = std::chrono::steady_clock::now();
   uint64_t decoded_events = 0;
   for (int i = 0; i < iterations; ++i) {
-    auto loaded = TraceStore::Load(kTmpPath);
+    auto reader = TraceReader::Open(kTmpPath);
+    CHECK(reader.ok()) << reader.status();
+    auto loaded = reader->ReadRecordedExecution();
     CHECK(loaded.ok()) << loaded.status();
     decoded_events = loaded->log.size();
   }

@@ -1,6 +1,7 @@
 #include "src/server/corpus_server.h"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -17,13 +18,6 @@
 #include "src/util/socket.h"
 #include "src/util/string_util.h"
 #include "src/util/thread_annotations.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define DDR_SERVER_HAVE_UNLINK 1
-#else
-#define DDR_SERVER_HAVE_UNLINK 0
-#endif
 
 namespace ddr {
 
@@ -482,11 +476,9 @@ struct CorpusServer::Impl {
         accept_thread.join();
       }
       listener.Close();
-#if DDR_SERVER_HAVE_UNLINK
       if (unix_endpoint) {
         ::unlink(options.socket_path.c_str());
       }
-#endif
       if (watcher.joinable()) {
         watcher.join();
       }

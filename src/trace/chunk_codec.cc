@@ -1,8 +1,6 @@
 #include "src/trace/chunk_codec.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 namespace ddr {
 
@@ -36,8 +34,8 @@ void EncodeColumnar(const Event* events, uint64_t count, Encoder* encoder) {
 }
 
 // Reference columnar decoder: one checked scalar Get per value. Kept as
-// the ground truth the batched path is asserted against (DDR_DECODE_PATH
-// =scalar and the *WithPath test hook route here).
+// the ground truth the batched path is asserted against (reached only
+// through DecodeEventChunkPayloadWithPath with kScalar).
 Result<std::vector<Event>> DecodeColumnarScalar(Decoder* decoder,
                                                 uint64_t count) {
   std::vector<Event> events(static_cast<size_t>(count));
@@ -147,16 +145,6 @@ Result<std::vector<Event>> DecodeColumnarBatched(Decoder* decoder,
 
 }  // namespace
 
-ColumnarDecodePath ActiveColumnarDecodePath() {
-  static const ColumnarDecodePath path = [] {
-    const char* env = std::getenv("DDR_DECODE_PATH");
-    return (env != nullptr && std::string_view(env) == "scalar")
-               ? ColumnarDecodePath::kScalar
-               : ColumnarDecodePath::kBatched;
-  }();
-  return path;
-}
-
 std::vector<uint8_t> EncodeEventChunkPayload(const Event* events,
                                              uint64_t count,
                                              uint64_t first_event,
@@ -182,7 +170,7 @@ Result<std::vector<Event>> DecodeEventChunkPayload(
     uint64_t expected_first, uint64_t expected_count) {
   return DecodeEventChunkPayloadWithPath(payload, filter, expected_first,
                                          expected_count,
-                                         ActiveColumnarDecodePath());
+                                         ColumnarDecodePath::kBatched);
 }
 
 Result<std::vector<Event>> DecodeEventChunkPayloadWithPath(

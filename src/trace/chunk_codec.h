@@ -38,22 +38,18 @@ std::vector<uint8_t> EncodeEventChunkPayload(const Event* events,
                                              TraceFilter filter);
 
 // Which columnar decode implementation handles kVarintDelta chunks. Both
-// produce bit-identical Event vectors from the same payload; kScalar is
-// the original per-field reference loop, kBatched the hot path (bounds
-// check hoisted to "a worst-case varint fits", single-byte fast case,
-// columns written straight into the preallocated vector).
+// produce bit-identical Event vectors from the same payload; kBatched is
+// the hot path every reader uses (bounds check hoisted to "a worst-case
+// varint fits", single-byte fast case, columns written straight into the
+// preallocated vector), kScalar the original per-field loop that tests
+// and the codec bench assert it against.
 enum class ColumnarDecodePath { kBatched, kScalar };
-
-// Process-wide default path: DDR_DECODE_PATH=scalar selects the reference
-// implementation; unset or anything else selects the batched one. Read
-// once on first use.
-ColumnarDecodePath ActiveColumnarDecodePath();
 
 // Decodes a chunk payload written with `filter`, checking that its header
 // matches the expected (first_event, count) from the footer chunk table.
 // The payload span may alias an mmap'd file region: decoding reads it in
 // place, and the output vector is sized from the chunk's event count up
-// front. Uses ActiveColumnarDecodePath() for kVarintDelta chunks.
+// front. Uses the batched path for kVarintDelta chunks.
 Result<std::vector<Event>> DecodeEventChunkPayload(
     std::span<const uint8_t> payload, TraceFilter filter,
     uint64_t expected_first, uint64_t expected_count);

@@ -70,41 +70,33 @@ Result<std::vector<CorpusEntry>> DecodeCorpusIndex(
 
 // ----------------------------------------------------- journal trailers
 
-// The three wire forms a generation's trailer can take.
-enum class TrailerForm : uint8_t {
-  kV1 = 0,         // 12 bytes, magic "CRDD": v1 body, always generation 1
-  kFullIndex = 1,  // 28 bytes, magic "CRDJ": journal, index lists all entries
-  kDeltaIndex = 2,  // 28 bytes, magic "CRDL": index lists this gen's adds only
-};
-
 // A parsed corpus trailer: the fixed-width record that publishes an index
-// generation. The 28-byte journal layout (index offset, previous
-// trailer's offset, generation, CRC, magic) is shared by the full-index
-// and delta-index forms; only the magic differs.
+// generation. Two wire forms exist: the 12-byte v1 trailer (magic "CRDD",
+// always generation 1) and the 28-byte journal trailer (index offset,
+// previous trailer's offset, generation, CRC, magic "CRDL") whose index
+// lists only the entries its own generation added.
 struct CorpusTrailerInfo {
   uint64_t trailer_offset = 0;  // absolute offset where the trailer begins
   uint64_t index_offset = 0;
   uint64_t prev_trailer_offset = 0;  // journal layout only
   uint32_t generation = 1;
-  TrailerForm form = TrailerForm::kV1;
+  bool journal = false;  // the 28-byte "CRDL" form
 
-  bool journal_layout() const { return form != TrailerForm::kV1; }
   uint64_t end() const {
     return trailer_offset +
-           (journal_layout() ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes);
+           (journal ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes);
   }
 };
 
 std::vector<uint8_t> EncodeJournalTrailer(uint64_t index_offset,
                                           uint64_t prev_trailer_offset,
-                                          uint32_t generation,
-                                          uint32_t magic) {
+                                          uint32_t generation) {
   Encoder encoder;
   encoder.PutFixed64(index_offset);
   encoder.PutFixed64(prev_trailer_offset);
   encoder.PutFixed32(generation);
   encoder.PutFixed32(Crc32(encoder.buffer().data(), encoder.size()));
-  encoder.PutFixed32(magic);
+  encoder.PutFixed32(kCorpusDeltaTrailerMagic);
   return encoder.TakeBuffer();
 }
 
@@ -126,16 +118,10 @@ bool ParseTrailerBytes(std::span<const uint8_t> bytes, uint64_t trailer_offset,
     auto crc = decoder.GetFixed32();
     auto magic = decoder.GetFixed32();
     if (!index_offset.ok() || !prev.ok() || !generation.ok() || !crc.ok() ||
-        !magic.ok()) {
+        !magic.ok() || *magic != kCorpusDeltaTrailerMagic) {
       return false;
     }
-    if (*magic == kCorpusJournalTrailerMagic) {
-      info.form = TrailerForm::kFullIndex;
-    } else if (*magic == kCorpusDeltaTrailerMagic) {
-      info.form = TrailerForm::kDeltaIndex;
-    } else {
-      return false;
-    }
+    info.journal = true;
     if (*crc != Crc32(bytes.data(), kCorpusJournalTrailerBytes - 8)) {
       return false;
     }
@@ -243,8 +229,7 @@ Result<CorpusTrailerInfo> FindLatestValidTrailer(
         file.Read(lo, static_cast<size_t>(hi - lo), &scan_buf));
     for (uint64_t p = hi - 4;; --p) {
       const uint32_t word = ReadWordLE(window.data() + (p - lo));
-      const bool journal_magic = word == kCorpusJournalTrailerMagic ||
-                                 word == kCorpusDeltaTrailerMagic;
+      const bool journal_magic = word == kCorpusDeltaTrailerMagic;
       if (journal_magic || word == kCorpusTrailerMagic) {
         const uint64_t size =
             journal_magic ? kCorpusJournalTrailerBytes : kCorpusTrailerBytes;
@@ -302,36 +287,30 @@ Result<CorpusTrailerInfo> ReadPrevTrailer(const RandomAccessFile& file,
 }
 
 // Walks the prev-trailer chain from the latest generation down to the v1
-// base, stitching delta indexes and counting dead bytes.
+// body and stitches the delta indexes onto its full index.
 //
-// On entry `entries` holds the latest generation's own index. Delta
-// generations are collected walking down until the first full index (a
-// v2 "CRDJ" generation or the v1 body) — the stitch base — then overlaid
-// on it oldest-first, a newer generation winning any name. Everything in
-// the stitch range is live; dead bytes are the torn tail plus the index
-// section + trailer of every generation strictly below the base (the
-// walk continues to generation 1 for validation either way).
+// On entry `entries` holds the latest generation's own index. Each delta
+// generation's entries are collected walking down (every link validated
+// on the way), then overlaid on the generation-1 index oldest-first, a
+// newer generation winning any name — so the final order matches a
+// single-shot build of the same adds. Every index in the chain is live;
+// the only dead bytes are the torn tail past `latest`.
 Status StitchJournalChain(const RandomAccessFile& file, uint64_t file_size,
                           const CorpusTrailerInfo& latest,
                           std::vector<CorpusEntry>* entries,
                           uint64_t* dead_bytes) {
   std::vector<uint8_t> scratch;
-  uint64_t dead = file_size - latest.end();
   CorpusTrailerInfo current = latest;
   std::vector<CorpusEntry> current_entries = std::move(*entries);
   // Delta generations' entry lists, newest first.
   std::vector<std::vector<CorpusEntry>> deltas;
-  while (current.form == TrailerForm::kDeltaIndex) {
+  while (current.journal) {
     deltas.push_back(std::move(current_entries));
     ASSIGN_OR_RETURN(CorpusTrailerInfo prev,
                      ReadPrevTrailer(file, file_size, current, &scratch));
     ASSIGN_OR_RETURN(current_entries, LoadIndexForTrailer(file, prev));
     current = prev;
   }
-  // `current` publishes the stitch base's full index; overlay the deltas
-  // oldest-first so the final order matches the equivalent full-index
-  // bundle (add order), with a newer generation replacing a name in
-  // place.
   std::vector<CorpusEntry> stitched = std::move(current_entries);
   for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
     for (CorpusEntry& entry : *it) {
@@ -345,20 +324,8 @@ Status StitchJournalChain(const RandomAccessFile& file, uint64_t file_size,
       }
     }
   }
-  // Generations below the stitch base are superseded: validate the rest
-  // of the chain and account their index + trailer bytes as dead.
-  while (current.journal_layout()) {
-    ASSIGN_OR_RETURN(CorpusTrailerInfo prev,
-                     ReadPrevTrailer(file, file_size, current, &scratch));
-    dead += prev.end() - prev.index_offset;
-    current = prev;
-  }
-  if (current.generation != 1) {
-    return InvalidArgumentError(
-        "corpus journal chain does not reach generation 1");
-  }
   *entries = std::move(stitched);
-  *dead_bytes = dead;
+  *dead_bytes = file_size - latest.end();
   return OkStatus();
 }
 
@@ -381,9 +348,8 @@ class CorpusJournalSink {
   // `expected_size` / `trailer_offset` / `observed_version` describe the
   // bundle as the caller's reader observed it; they are re-validated
   // under the writer lock so an append prepared against a since-mutated
-  // file fails instead of writing over published bytes. When the
-  // observed header version predates the delta-index layout the header
-  // is flipped to version 3 (fsync'd before any tail byte lands).
+  // file fails instead of writing over published bytes. A canonical v1
+  // header is flipped to version 3 (fsync'd before any tail byte lands).
   static Result<std::unique_ptr<CorpusJournalSink>> Open(
       const std::string& path, uint64_t tail_offset, uint64_t expected_size,
       uint64_t trailer_offset, uint32_t observed_version);
@@ -509,7 +475,7 @@ Result<std::unique_ptr<CorpusJournalSink>> CorpusJournalSink::Open(
   // tail_offset; whatever torn bytes extend past the new trailer stay
   // accounted as dead bytes (no valid trailer can exist up there: the
   // crashed append never committed one) until a compact reclaims them.
-  if (observed_version != kCorpusFormatVersionDelta) {
+  if (observed_version == kCorpusFormatVersion) {
     Encoder encoder;
     encoder.PutFixed32(kCorpusFormatVersionDelta);
     RETURN_IF_ERROR(sink->WriteAt("corpus.journal.header", 4,
@@ -698,8 +664,8 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
       atomic_ = std::make_unique<AtomicFileSink>(path_);
       if (existing.journaled()) {
         // Rewriting a journaled bundle canonicalizes it: fresh v1
-        // header, every live image copied in index order — superseded
-        // index generations and any torn tail are left behind, exactly
+        // header, every live image copied in stitched index order — the
+        // delta index chain and any torn tail are left behind, exactly
         // like CompactCorpus with an empty drop set.
         RETURN_IF_ERROR(Begin());
         for (const CorpusEntry& entry : existing.entries()) {
@@ -937,8 +903,7 @@ Status CorpusWriter::Finish() {
     RETURN_IF_ERROR(journal_->Sync());
     RETURN_IF_ERROR(FaultPoint("corpus.journal.trailer"));
     const std::vector<uint8_t> trailer =
-        EncodeJournalTrailer(index_offset, prev_trailer_offset_, generation_,
-                             kCorpusDeltaTrailerMagic);
+        EncodeJournalTrailer(index_offset, prev_trailer_offset_, generation_);
     RETURN_IF_ERROR(journal_->Append(trailer.data(), trailer.size()));
     offset_ += trailer.size();
     return journal_->Commit();
@@ -1006,7 +971,6 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
     }
     ASSIGN_OR_RETURN(version, decoder.GetFixed32());
     if (version != kCorpusFormatVersion &&
-        version != kCorpusFormatVersionJournal &&
         version != kCorpusFormatVersionDelta) {
       return InvalidArgumentError(
           StrPrintf("unsupported corpus format version %u", version));
@@ -1038,10 +1002,9 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
     return reader;
   }
 
-  // Journaled layout (v2 or v3): chain-load the latest valid trailer,
-  // scanning back past a torn tail if a crashed append left one, then
-  // stitch the index chain (a no-op overlay when the latest trailer
-  // already publishes a full index).
+  // Journaled layout (v3): chain-load the latest valid trailer, scanning
+  // back past a torn tail if a crashed append left one, then stitch the
+  // delta indexes onto the v1 body's index.
   ASSIGN_OR_RETURN(CorpusTrailerInfo trailer,
                    FindLatestValidTrailer(*reader.file_, reader.file_size_,
                                           &reader.entries_));
@@ -1049,7 +1012,7 @@ Result<CorpusReader> CorpusReader::OpenImpl(const std::string& path,
   reader.trailer_offset_ = trailer.trailer_offset;
   reader.tail_offset_ = trailer.end();
   reader.journaled_ = true;
-  reader.generation_ = trailer.journal_layout() ? trailer.generation : 1;
+  reader.generation_ = trailer.generation;
   RETURN_IF_ERROR(StitchJournalChain(*reader.file_, reader.file_size_, trailer,
                                      &reader.entries_, &reader.dead_bytes_));
   return reader;
@@ -1085,18 +1048,14 @@ Result<RecordedExecution> CorpusReader::LoadRecording(
   return trace.ReadRecordedExecution();
 }
 
-void CorpusReader::AdviseReadahead(ReadaheadMode mode) const {
-  file_->Advise(mode);
-}
-
 Status CorpusReader::VerifyAll() const {
   // A full verify is the canonical cold sequential scan — every image
   // front to back — so widen kernel readahead for its duration and
-  // restore the handle's open-time hint after (serving traffic is
-  // point-lookup shaped; a sticky sequential hint would hurt it).
+  // restore the normal hint after (serving traffic is point-lookup
+  // shaped; a sticky sequential hint would hurt it).
   file_->Advise(ReadaheadMode::kSequential);
   const Status status = VerifyAllImpl();
-  file_->Advise(file_->readahead());
+  file_->Advise(ReadaheadMode::kNormal);
   return status;
 }
 
@@ -1238,7 +1197,8 @@ Result<CorpusMutationStats> CompactCorpus(
   // Every requested drop must name a real entry — a typo'd compact that
   // silently "succeeds" would be indistinguishable from the intended one.
   // (An empty drop set is the journal-squash case: rewrite the live
-  // entries into canonical v1 form, reclaiming dead index generations.)
+  // entries into canonical v1 form, folding the delta index chain and
+  // reclaiming any torn tail.)
   std::set<std::string> drop(drop_names.begin(), drop_names.end());
   for (const std::string& name : drop) {
     if (reader.Find(name) == nullptr) {

@@ -16,7 +16,7 @@
 // opens an entry through a (offset, length) window, partial reads touch
 // only covering chunks, and Verify runs every CRC. The reader side is
 // built for concurrent serving: one CorpusReader owns one
-// RandomAccessFile handle (stream/pread/mmap) plus one shared
+// RandomAccessFile handle (pread/mmap) plus one shared
 // decoded-chunk cache, and OpenTrace hands out cheap per-entry windows
 // over both — N threads replaying one bundle pay one file open and share
 // every decoded hot chunk. Fresh builds go through AtomicFileSink, so an
@@ -31,58 +31,45 @@
 //   ASSIGN_OR_RETURN(CorpusReader corpus, CorpusReader::Open("eval.ddrc"));
 //   ASSIGN_OR_RETURN(TraceReader trace, corpus.OpenTrace("sum/perfect"));
 //
-// ---------------------------------------------------------- journal (v2)
+// ---------------------------------------------------- delta journal (v3)
 //
 // Bundles are mutable after the fact. The copying mutations (merge,
 // compact, rewrite-mode append) go through the atomic temp + rename
 // discipline, but copying the whole bundle to add one entry makes append
 // cost O(file) — fatal for a resume loop extending a multi-GB grid. The
 // in-place append instead grows the bundle as an *index journal* (header
-// version 2):
+// version 3):
 //
-//   [header 12B: "DDRC" v2]
-//   [image]* [index g1] [trailer g1]          <- generation 1 (was the v1 body)
-//   [image]* [index g2] [trailer g2]          <- appended generation
+//   [header 12B: "DDRC" v3]
+//   [image]* [index g1] [trailer g1 12B]      <- generation 1 (the v1 body)
+//   [image]* [delta index g2] [trailer g2]    <- appended generation
 //   ...
-//   [image]* [index gN] [trailer gN 28B]      <- latest generation
+//   [image]* [delta index gN] [trailer gN 28B] <- latest generation
 //
-// A v2 generation's index re-lists *every* live entry, so readers only
-// ever load the latest one; superseded index sections and trailers stay
-// in the file as dead bytes (reported by `dead_bytes()` / `corpus info`,
-// reclaimed by CompactCorpus). An append writes only the new images, one
-// fresh index, and a 28-byte journal trailer — O(new entries + index),
-// never O(file) — and mutates nothing a pre-append reader can see: old
-// images, old index, and old trailer all keep their bytes, so concurrent
-// readers of the same inode are undisturbed.
-//
-// ---------------------------------------------------- delta indexes (v3)
-//
-// Re-listing every live entry still makes each append generation's index
-// O(total entries) — quadratic bytes across a long resume loop. Header
-// version 3 shrinks the journal record to a true delta: an in-place
-// append writes an index section listing only the entries *its own
-// generation added*, published by a 28-byte trailer with the distinct
-// magic "CRDL" (same layout as the v2 "CRDJ" trailer: index offset, prev
-// trailer offset, generation, CRC, magic). Appends are O(new entries) in
-// bytes written, independent of how many entries the bundle already
-// holds.
+// Each appended generation writes only the new images, an index section
+// listing the entries *its own generation added*, and a 28-byte trailer
+// with magic "CRDL" (index offset, prev trailer offset, generation, CRC,
+// magic). Appends are O(new entries) in bytes written, independent of
+// how many entries the bundle already holds, and mutate nothing a
+// pre-append reader can see: old images, old indexes, and old trailers
+// all keep their bytes, so concurrent readers of the same inode are
+// undisturbed.
 //
 // Readers stitch: CorpusReader::Open walks the prev-trailer chain from
-// the newest valid trailer down to the newest *full* index (a v2 "CRDJ"
-// generation or the generation-1 v1 body), then overlays each delta on
-// top, oldest first, newest generation winning a name. Every index
-// section in that stitch range is live — dead bytes are only the torn
-// tail plus index+trailer bytes of generations strictly below the stitch
-// base. The first delta append flips the header to version 3 (fsync'd
-// first, exactly like the 1 -> 2 flip), so v1/v2 readers fail with a
-// clean "unsupported corpus format version 3" instead of serving a
-// partial entry set; v2 full-index bundles keep reading forever, and
-// CompactCorpus / rewrite-mode appends still squash any chain back to
+// the newest valid trailer down to the generation-1 v1 body, then
+// overlays each delta on top, oldest first, newest generation winning a
+// name. Every index in the chain is live, so dead bytes are only the
+// torn tail a crashed append left behind. The first append flips the
+// header 1 -> 3 (fsync'd first), so a v1-only reader fails with a clean
+// "unsupported corpus format version 3" instead of serving a partial
+// entry set. Header version 2 (the retired full-index "CRDJ" journal) is
+// no longer readable and fails the same way as any unknown version;
+// CompactCorpus / rewrite-mode appends squash any chain back to
 // canonical v1.
 //
 // Crash durability is by write ordering, not rename:
 //
-//   1. (first append only) the header version flips 1 -> 2, fsync'd,
+//   1. (first append only) the header version flips 1 -> 3, fsync'd,
 //      before any byte lands past the old trailer — from here on readers
 //      take the journal recovery path;
 //   2. new images + the new index are written past the old trailer and
@@ -91,14 +78,12 @@
 //      and the previous trailer's offset) appended and fsync'd.
 //
 // A crash at any point leaves the previous generation's trailer intact
-// and reachable: CorpusReader::Open on a v2 bundle first tries the
+// and reachable: CorpusReader::Open on a v3 bundle first tries the
 // trailer at end-of-file and otherwise scans backward past the torn tail
 // for the latest trailer whose CRC *and* index section validate, then
-// chain-loads the prev-trailer offsets to count generations and dead
-// bytes. The next in-place append writes the new generation over the
-// torn region (never truncating — the file must not shrink under
-// concurrent readers). A v1-only reader sees version 2 and fails with a
-// clean "unsupported corpus format version", never a garbage decode.
+// chain-loads the prev-trailer offsets. The next in-place append writes
+// the new generation over the torn region (never truncating — the file
+// must not shrink under concurrent readers).
 //
 //   append   CorpusWriter::AppendTo re-opens an existing bundle. In the
 //            default kInPlace mode it journals as above; in kRewrite
@@ -111,8 +96,8 @@
 //            policy. `output` may equal one of the inputs: every input
 //            is read through a handle opened before the output's
 //            temp-file rename, and an open handle keeps serving the
-//            replaced inode's bytes on every backend (mmap mapping,
-//            pread fd, buffered stream alike).
+//            replaced inode's bytes on both backends (mmap mapping
+//            and pread fd alike).
 //   compact  CompactCorpus drops named entries (the drop set may be
 //            empty) and rewrites the survivors' images, byte-identical,
 //            into a canonical v1 bundle at the same path — the explicit
@@ -135,23 +120,15 @@ namespace ddr {
 
 inline constexpr uint32_t kCorpusFileMagic = 0x43524444u;     // "DDRC"
 inline constexpr uint32_t kCorpusTrailerMagic = 0x44445243u;  // "CRDD"
-// Journal trailers end with their own magic so a backward scan can tell
-// them from v1 trailers (and from image bytes) before validating.
-inline constexpr uint32_t kCorpusJournalTrailerMagic = 0x4A445243u;  // "CRDJ"
-// Delta-index trailers (v3): same 28-byte layout as the journal form,
-// but the index section it points at lists only the entries its own
-// generation added — readers stitch the chain down to the newest full
-// index. The distinct magic is what keeps a v2 full-index reader from
-// silently serving a partial entry set.
+// Delta-index trailers (v3) end with their own magic so a backward scan
+// can tell them from v1 trailers (and from image bytes) before
+// validating. The index section each one points at lists only the
+// entries its own generation added.
 inline constexpr uint32_t kCorpusDeltaTrailerMagic = 0x4C445243u;  // "CRDL"
 inline constexpr uint32_t kCorpusFormatVersion = 1;
 // Stamped in the header the moment a bundle gains a second index
 // generation, so single-trailer (v1-only) readers fail with a clean
 // unsupported-version error instead of misparsing the journal tail.
-inline constexpr uint32_t kCorpusFormatVersionJournal = 2;
-// Stamped when a generation is published through a delta index: v2
-// readers (which would load only the latest full index) must fail with a
-// clean unsupported-version error, not drop every delta-appended entry.
 inline constexpr uint32_t kCorpusFormatVersionDelta = 3;
 inline constexpr size_t kCorpusHeaderBytes = 12;   // magic + version + flags
 inline constexpr size_t kCorpusTrailerBytes = 12;  // index offset + magic
@@ -176,10 +153,9 @@ class CorpusJournalSink;
 
 // How CorpusWriter::AppendTo grows an existing bundle.
 enum class CorpusAppendMode : uint8_t {
-  // Journal the new entries in place: O(new entries + index) bytes
-  // written, crash-safe by write ordering, leaves (small) dead index
-  // bytes behind. The default — the only mode whose cost is flat in the
-  // size of the existing bundle.
+  // Journal the new entries in place: O(new entries) bytes written,
+  // crash-safe by write ordering. The default — the only mode whose cost
+  // is flat in the size of the existing bundle.
   kInPlace = 0,
   // Rewrite the whole bundle to canonical v1 form through a temp +
   // rename: O(file) bytes written, byte-identical to a single-shot
@@ -352,19 +328,18 @@ class CorpusReader {
   uint64_t file_size() const { return file_size_; }
   // Absolute file offset of the (latest) index section.
   uint64_t index_offset() const { return index_offset_; }
-  // True when the header carries a journal version (2 or 3): the bundle
+  // True when the header carries the journal version (3): the bundle
   // has (or had) more than one index generation.
   bool journaled() const { return journaled_; }
-  // The header's format version: 1 canonical single-shot, 2 full-index
-  // journal, 3 delta-index journal.
+  // The header's format version: 1 canonical single-shot, 3 delta-index
+  // journal.
   uint32_t format_version() const { return format_version_; }
   // Number of index generations in the journal chain (1 for a canonical
   // single-shot bundle).
   uint32_t generation() const { return generation_; }
-  // Bytes no live read can reach: index sections + trailers of
-  // generations below the stitch base (delta-chain indexes above it are
-  // live — Open needs them to stitch), plus any torn tail past the
-  // latest valid trailer. CompactCorpus reclaims them.
+  // Bytes no live read can reach: the torn tail past the latest valid
+  // trailer (every index in the chain is live — Open needs them all to
+  // stitch). CompactCorpus reclaims them.
   uint64_t dead_bytes() const { return dead_bytes_; }
   // Absolute offset of the latest valid trailer, and of its end (the
   // logical tail — equal to file_size() unless a torn tail was scanned
@@ -399,14 +374,9 @@ class CorpusReader {
   // Structural + CRC verification of every embedded trace (and, via Open,
   // of the index itself and the journal chain), plus index-vs-embedded-
   // metadata consistency. Hints kernel readahead sequential for the
-  // duration of the scan (the one front-to-back read path) and restores
-  // the handle's open-time hint after.
+  // duration of the scan (the one front-to-back read path) and back to
+  // normal after.
   [[nodiscard]] Status VerifyAll() const;
-
-  // Forwards an access-pattern hint to the underlying handle (advisory;
-  // see RandomAccessFile::Advise). Cold full-bundle scans want
-  // kSequential; point-lookup serving wants the open-time default.
-  void AdviseReadahead(ReadaheadMode mode) const;
 
  private:
   friend class CorpusWriter;  // AppendTo copies bytes through file_

@@ -31,19 +31,12 @@ std::string MakeTempPath(const std::string& path) {
                        counter.fetch_add(1, std::memory_order_relaxed)));
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DDR_HAVE_FSYNC 1
-#else
-#define DDR_HAVE_FSYNC 0
-#endif
-
 // Durability for the temp file's bytes before rename. Without this, a
 // crash right after the "atomic" rename can still leave a zero-length or
 // torn file at the target path: rename only orders the directory entry,
 // not the data blocks behind it.
 Status SyncFile(std::FILE* file, const std::string& tmp_path) {
   RETURN_IF_ERROR(FaultPoint("trace.sink.sync"));
-#if DDR_HAVE_FSYNC
   int rc = 0;
   do {
     if (FaultEintr("trace.sink.sync")) {
@@ -58,10 +51,6 @@ Status SyncFile(std::FILE* file, const std::string& tmp_path) {
                                       tmp_path.c_str(),
                                       std::strerror(errno)));
   }
-#else
-  (void)file;
-  (void)tmp_path;
-#endif
   return OkStatus();
 }
 
@@ -74,7 +63,6 @@ void SyncParentDir(const std::string& path) {
   if (!FaultPoint("trace.sink.dirsync").ok()) {
     return;
   }
-#if DDR_HAVE_FSYNC
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? std::string(".")
                                                      : path.substr(0, slash);
@@ -90,9 +78,6 @@ void SyncParentDir(const std::string& path) {
     rc = ::fsync(fd);
   } while (rc != 0 && errno == EINTR);
   ::close(fd);
-#else
-  (void)path;
-#endif
 }
 
 }  // namespace

@@ -1,22 +1,15 @@
 #include "src/util/file_lock.h"
 
-#include <cerrno>
-#include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DDR_HAVE_FLOCK 1
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
-#else
-#define DDR_HAVE_FLOCK 0
-#endif
+
+#include <cerrno>
+#include <cstring>
 
 #include "src/util/string_util.h"
 
 namespace ddr {
-
-#if DDR_HAVE_FLOCK
 
 namespace {
 
@@ -69,17 +62,5 @@ Result<bool> FileExclusivelyLocked(const std::string& path) {
   return UnavailableError(StrPrintf("flock probe(%s): %s", path.c_str(),
                                     std::strerror(err)));
 }
-
-#else  // !DDR_HAVE_FLOCK
-
-Status TryFlockExclusive(int /*fd*/, const std::string& /*path*/) {
-  return UnimplementedError("flock is unavailable on this platform");
-}
-
-Result<bool> FileExclusivelyLocked(const std::string& /*path*/) {
-  return UnimplementedError("flock is unavailable on this platform");
-}
-
-#endif  // DDR_HAVE_FLOCK
 
 }  // namespace ddr

@@ -1,34 +1,24 @@
 #include "src/util/random_access_file.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DDR_HAVE_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define DDR_HAVE_POSIX_IO 0
-#endif
+
+#include <cerrno>
+#include <cstring>
 
 #include "src/util/fault_injection.h"
 #include "src/util/string_util.h"
-#include "src/util/thread_annotations.h"
 
 namespace ddr {
 
 namespace {
 
 // One read site per backend, consulted from the shared Read() wrapper so
-// all three paths carry fault coverage without per-backend plumbing.
+// both paths carry fault coverage without per-backend plumbing.
 const char* ReadFaultSite(IoBackend backend) {
   switch (backend) {
-    case IoBackend::kStream:
-      return "file.read.stream";
     case IoBackend::kPread:
       return "file.read.pread";
     case IoBackend::kMmap:
@@ -49,38 +39,6 @@ Status CheckWindow(uint64_t offset, size_t length, uint64_t file_size,
   return OkStatus();
 }
 
-// ------------------------------------------------------------- kStream
-
-// The portable fallback: one buffered ifstream whose seek cursor is
-// serialized behind a mutex.
-class StreamFile final : public RandomAccessFile {
- public:
-  StreamFile(std::string path, uint64_t size, std::ifstream stream)
-      : RandomAccessFile(std::move(path), size, IoBackend::kStream),
-        stream_(std::move(stream)) {}
-
- protected:
-  Result<std::span<const uint8_t>> ReadImpl(
-      uint64_t offset, size_t length,
-      std::vector<uint8_t>* scratch) const override {
-    scratch->resize(length);
-    MutexLock lock(mu_);
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(offset));
-    stream_.read(reinterpret_cast<char*>(scratch->data()),
-                 static_cast<std::streamsize>(length));
-    if (!stream_ && length > 0) {
-      return UnavailableError("short read on " + path());
-    }
-    return std::span<const uint8_t>(scratch->data(), length);
-  }
-
- private:
-  // The one backend with shared mutable state: the ifstream's seek cursor.
-  mutable Mutex mu_;
-  mutable std::ifstream stream_ GUARDED_BY(mu_);
-};
-
 // Classifies an open failure from errno: only true non-existence is
 // NotFound — permission and resource errors must not masquerade as a
 // missing file (callers branch on the code).
@@ -91,20 +49,6 @@ Status OpenError(const std::string& path, int err) {
   return UnavailableError(StrPrintf("cannot open file %s: %s", path.c_str(),
                                     std::strerror(err)));
 }
-
-Result<std::shared_ptr<RandomAccessFile>> OpenStream(const std::string& path) {
-  errno = 0;
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) {
-    return OpenError(path, errno != 0 ? errno : ENOENT);
-  }
-  stream.seekg(0, std::ios::end);
-  const uint64_t size = static_cast<uint64_t>(stream.tellg());
-  return std::shared_ptr<RandomAccessFile>(
-      new StreamFile(path, size, std::move(stream)));
-}
-
-#if DDR_HAVE_POSIX_IO
 
 // -------------------------------------------------------------- kPread
 
@@ -148,24 +92,11 @@ class PreadFile final : public RandomAccessFile {
   }
 
   void AdviseImpl(ReadaheadMode mode) const override {
-#if defined(POSIX_FADV_SEQUENTIAL)
-    int advice = POSIX_FADV_NORMAL;
-    switch (mode) {
-      case ReadaheadMode::kNormal:
-        advice = POSIX_FADV_NORMAL;
-        break;
-      case ReadaheadMode::kSequential:
-        advice = POSIX_FADV_SEQUENTIAL;
-        break;
-      case ReadaheadMode::kRandom:
-        advice = POSIX_FADV_RANDOM;
-        break;
-    }
     // Advisory: failure (e.g. an fs that ignores hints) changes nothing.
-    (void)::posix_fadvise(fd_, 0, 0, advice);
-#else
-    (void)mode;
-#endif
+    (void)::posix_fadvise(fd_, 0, 0,
+                          mode == ReadaheadMode::kSequential
+                              ? POSIX_FADV_SEQUENTIAL
+                              : POSIX_FADV_NORMAL);
   }
 
  private:
@@ -193,20 +124,9 @@ class MmapFile final : public RandomAccessFile {
   }
 
   void AdviseImpl(ReadaheadMode mode) const override {
-    int advice = MADV_NORMAL;
-    switch (mode) {
-      case ReadaheadMode::kNormal:
-        advice = MADV_NORMAL;
-        break;
-      case ReadaheadMode::kSequential:
-        advice = MADV_SEQUENTIAL;
-        break;
-      case ReadaheadMode::kRandom:
-        advice = MADV_RANDOM;
-        break;
-    }
     (void)::madvise(const_cast<uint8_t*>(data_), static_cast<size_t>(size()),
-                    advice);
+                    mode == ReadaheadMode::kSequential ? MADV_SEQUENTIAL
+                                                       : MADV_NORMAL);
   }
 
  private:
@@ -257,14 +177,10 @@ Result<std::shared_ptr<RandomAccessFile>> OpenMmap(const std::string& path) {
       new MmapFile(path, size, static_cast<const uint8_t*>(mapped)));
 }
 
-#endif  // DDR_HAVE_POSIX_IO
-
 }  // namespace
 
 std::string_view IoBackendName(IoBackend backend) {
   switch (backend) {
-    case IoBackend::kStream:
-      return "stream";
     case IoBackend::kPread:
       return "pread";
     case IoBackend::kMmap:
@@ -274,9 +190,6 @@ std::string_view IoBackendName(IoBackend backend) {
 }
 
 Result<IoBackend> ParseIoBackend(const std::string& name) {
-  if (name == "stream" || name == "ifstream") {
-    return IoBackend::kStream;
-  }
   if (name == "pread") {
     return IoBackend::kPread;
   }
@@ -284,37 +197,10 @@ Result<IoBackend> ParseIoBackend(const std::string& name) {
     return IoBackend::kMmap;
   }
   return InvalidArgumentError("unknown I/O backend '" + name +
-                              "' (expected stream|pread|mmap)");
+                              "' (expected pread|mmap)");
 }
 
-std::string_view ReadaheadModeName(ReadaheadMode mode) {
-  switch (mode) {
-    case ReadaheadMode::kNormal:
-      return "normal";
-    case ReadaheadMode::kSequential:
-      return "sequential";
-    case ReadaheadMode::kRandom:
-      return "random";
-  }
-  return "unknown";
-}
-
-IoBackend DefaultIoBackend() {
-  static const IoBackend kDefault = [] {
-    if (const char* env = std::getenv("DDR_IO_BACKEND")) {
-      auto parsed = ParseIoBackend(env);
-      if (parsed.ok()) {
-        return *parsed;
-      }
-    }
-#if DDR_HAVE_POSIX_IO
-    return IoBackend::kMmap;
-#else
-    return IoBackend::kStream;
-#endif
-  }();
-  return kDefault;
-}
+IoBackend DefaultIoBackend() { return IoBackend::kMmap; }
 
 uint64_t RandomAccessFile::NextId() {
   static std::atomic<uint64_t> next{1};
@@ -336,48 +222,15 @@ Result<std::span<const uint8_t>> RandomAccessFile::Read(
 Result<std::shared_ptr<RandomAccessFile>> RandomAccessFile::Open(
     const std::string& path, const RandomAccessFileOptions& options) {
   RETURN_IF_ERROR(FaultPoint("file.open"));
-  auto open_backend = [&]() -> Result<std::shared_ptr<RandomAccessFile>> {
-#if DDR_HAVE_POSIX_IO
-    switch (options.backend) {
-      case IoBackend::kStream:
-        return OpenStream(path);
-      case IoBackend::kPread:
-        if (auto opened = OpenPread(path);
-            opened.ok() || !options.allow_fallback ||
-            opened.status().code() == StatusCode::kNotFound) {
-          return opened;
-        }
-        return OpenStream(path);
-      case IoBackend::kMmap: {
-        auto opened = OpenMmap(path);
-        if (opened.ok() || !options.allow_fallback ||
-            opened.status().code() == StatusCode::kNotFound) {
-          return opened;
-        }
-        if (auto pread = OpenPread(path); pread.ok()) {
-          return pread;
-        }
-        return OpenStream(path);
-      }
-    }
-    return InvalidArgumentError("unknown I/O backend");
-#else
-    if (options.backend != IoBackend::kStream && !options.allow_fallback) {
-      return UnimplementedError(
-          std::string(IoBackendName(options.backend)) +
-          " backend is unavailable on this platform");
-    }
-    return OpenStream(path);
-#endif
-  };
-  ASSIGN_OR_RETURN(std::shared_ptr<RandomAccessFile> file, open_backend());
-  // Stamp + apply the open-time hint before the handle is shared; Advise
-  // is a no-op on backends without a kernel hint.
-  file->readahead_ = options.readahead;
-  if (options.readahead != ReadaheadMode::kNormal) {
-    file->Advise(options.readahead);
+  if (options.backend == IoBackend::kPread) {
+    return OpenPread(path);
   }
-  return file;
+  auto mapped = OpenMmap(path);
+  if (mapped.ok() || !options.allow_fallback ||
+      mapped.status().code() == StatusCode::kNotFound) {
+    return mapped;
+  }
+  return OpenPread(path);
 }
 
 }  // namespace ddr

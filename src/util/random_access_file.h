@@ -1,25 +1,20 @@
 // RandomAccessFile: positional, thread-safe reads with interchangeable
 // backends.
 //
-// Every reader in the trace layer used to own one blocking std::ifstream,
-// so N concurrent replays of one corpus paid N file opens and the seek
-// cursor made a shared stream unusable across threads. This layer gives
-// the trace/corpus readers one shared handle with three backends:
+// The trace/corpus readers share one handle per file, so N concurrent
+// replays of one corpus pay one file open and contend on no seek cursor.
+// Two POSIX backends:
 //
-//   kStream  buffered std::ifstream behind a mutex — the portable
-//            fallback, semantically identical to the old reader path.
 //   kPread   positional pread(2): no shared cursor, no lock, kernel page
 //            cache does the buffering. The right default for many
 //            threads hammering one bundle.
 //   kMmap    read-only mmap: Read() returns a span straight into the
 //            mapping — zero copy, and decoders can decompress directly
-//            from the mapped region. Falls back gracefully (see
+//            from the mapped region. Falls back to pread (see
 //            RandomAccessFileOptions::allow_fallback) when mapping is
-//            unavailable (empty file, exotic filesystem, non-POSIX host).
+//            unavailable (empty file, exotic filesystem).
 //
-// All backends are safe for concurrent Read() calls on one const handle.
-// The process-wide default backend is env-queryable: DDR_IO_BACKEND =
-// stream | pread | mmap.
+// Both backends are safe for concurrent Read() calls on one const handle.
 
 #ifndef SRC_UTIL_RANDOM_ACCESS_FILE_H_
 #define SRC_UTIL_RANDOM_ACCESS_FILE_H_
@@ -36,41 +31,32 @@
 namespace ddr {
 
 enum class IoBackend : uint8_t {
-  kStream = 0,
-  kPread = 1,
-  kMmap = 2,
+  kPread = 0,
+  kMmap = 1,
 };
 
 std::string_view IoBackendName(IoBackend backend);
 Result<IoBackend> ParseIoBackend(const std::string& name);
 
-// The process default: DDR_IO_BACKEND when set and valid, else kMmap on
-// POSIX hosts (with per-open fallback) and kStream elsewhere.
+// The process default: kMmap (with per-open fallback to pread).
 IoBackend DefaultIoBackend();
 
 // Access-pattern hint forwarded to the kernel: posix_fadvise(2) for the
-// pread backend, madvise(2) for mmap (the stream backend has no handle to
-// hint). Purely advisory — reads return identical bytes under every mode;
-// only prefetch behavior changes. kSequential widens readahead for cold
-// front-to-back scans (corpus verify, bench cold passes); kRandom turns
-// it off for point lookups; kNormal restores the kernel default.
+// pread backend, madvise(2) for mmap. Purely advisory — reads return
+// identical bytes under either mode; only prefetch behavior changes.
+// kSequential widens readahead for a cold front-to-back scan (corpus
+// verify); kNormal restores the kernel default.
 enum class ReadaheadMode : uint8_t {
   kNormal = 0,
   kSequential = 1,
-  kRandom = 2,
 };
-
-std::string_view ReadaheadModeName(ReadaheadMode mode);
 
 struct RandomAccessFileOptions {
   IoBackend backend = DefaultIoBackend();
-  // When the preferred backend cannot be set up (mmap of an empty file, a
-  // host without the syscall), degrade mmap -> pread -> stream instead of
-  // failing the open. A missing file is always an error.
+  // When mmap cannot be set up (an empty file, a filesystem that refuses
+  // the mapping), degrade to pread instead of failing the open. A missing
+  // file is always an error.
   bool allow_fallback = true;
-  // Readahead hint applied to the whole file at open (and restored by
-  // Advise(readahead()) after a temporary override).
-  ReadaheadMode readahead = ReadaheadMode::kNormal;
 };
 
 class RandomAccessFile {
@@ -108,19 +94,17 @@ class RandomAccessFile {
   uint64_t bytes_read() const {
     return bytes_read_.load(std::memory_order_relaxed);
   }
-  // The open-time readahead hint (what Advise restores after an override).
-  ReadaheadMode readahead() const { return readahead_; }
 
   // Re-hints the whole file's expected access pattern. Advisory and
-  // infallible: backends without a kernel hint (stream, or hosts lacking
-  // the syscalls) ignore it. Safe to call concurrently with reads.
+  // infallible: a kernel that ignores the hint changes nothing. Safe to
+  // call concurrently with reads.
   void Advise(ReadaheadMode mode) const { AdviseImpl(mode); }
 
  protected:
   RandomAccessFile(std::string path, uint64_t size, IoBackend backend)
       : path_(std::move(path)), size_(size), backend_(backend), id_(NextId()) {}
 
-  virtual void AdviseImpl(ReadaheadMode /*mode*/) const {}
+  virtual void AdviseImpl(ReadaheadMode mode) const = 0;
 
   virtual Result<std::span<const uint8_t>> ReadImpl(
       uint64_t offset, size_t length, std::vector<uint8_t>* scratch) const = 0;
@@ -130,10 +114,8 @@ class RandomAccessFile {
 
   std::string path_;
   uint64_t size_ = 0;
-  IoBackend backend_ = IoBackend::kStream;
+  IoBackend backend_ = IoBackend::kPread;
   uint64_t id_ = 0;
-  // Set once by Open before the handle is shared; immutable afterwards.
-  ReadaheadMode readahead_ = ReadaheadMode::kNormal;
   mutable std::atomic<uint64_t> bytes_read_{0};
 };
 

@@ -1,10 +1,5 @@
 #include "src/util/socket.h"
 
-#include <cerrno>
-#include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DDR_HAVE_POSIX_SOCKETS 1
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -13,9 +8,9 @@
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
-#else
-#define DDR_HAVE_POSIX_SOCKETS 0
-#endif
+
+#include <cerrno>
+#include <cstring>
 
 #include "src/util/fault_injection.h"
 #include "src/util/string_util.h"
@@ -30,8 +25,6 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   }
   return *this;
 }
-
-#if DDR_HAVE_POSIX_SOCKETS
 
 namespace {
 
@@ -286,29 +279,5 @@ Result<bool> WaitReadable(const Socket& socket, int timeout_ms) {
   }
   return rc > 0;
 }
-
-#else  // !DDR_HAVE_POSIX_SOCKETS
-
-namespace {
-Status NoSockets() {
-  return UnimplementedError("sockets are unavailable on this platform");
-}
-}  // namespace
-
-void Socket::Close() { fd_ = -1; }
-Status Socket::SendAll(const uint8_t*, size_t) const { return NoSockets(); }
-Result<bool> Socket::RecvExact(uint8_t*, size_t) const { return NoSockets(); }
-Result<size_t> Socket::RecvSome(uint8_t*, size_t) const { return NoSockets(); }
-void Socket::ShutdownBoth() const {}
-
-Result<Socket> ListenUnix(const std::string&, int) { return NoSockets(); }
-Result<Socket> ListenTcp(uint16_t, int) { return NoSockets(); }
-Result<uint16_t> LocalPort(const Socket&) { return NoSockets(); }
-Result<Socket> AcceptConnection(const Socket&) { return NoSockets(); }
-Result<Socket> ConnectUnix(const std::string&) { return NoSockets(); }
-Result<Socket> ConnectTcp(const std::string&, uint16_t) { return NoSockets(); }
-Result<bool> WaitReadable(const Socket&, int) { return NoSockets(); }
-
-#endif  // DDR_HAVE_POSIX_SOCKETS
 
 }  // namespace ddr

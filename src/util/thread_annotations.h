@@ -1,13 +1,13 @@
 // Clang thread-safety annotations + annotated synchronization wrappers.
 //
 // The threaded read/serve path (sharded ChunkCache, CorpusServer worker
-// pool, BatchRunner's scorer, the stream backend of RandomAccessFile)
-// keeps its locking discipline in comments — "guarded by mu", "only grows
-// under conn_mu". This header turns those comments into compiler-checked
-// contracts: under clang, `-Wthread-safety -Werror` rejects any access to
-// a GUARDED_BY member without its mutex held, any ACQUIRE/RELEASE
-// imbalance, and any REQUIRES violation. Off clang the macros expand to
-// nothing, so gcc builds are byte-identical to before.
+// pool, BatchRunner's scorer) keeps its locking discipline in comments —
+// "guarded by mu", "only grows under conn_mu". This header turns those
+// comments into compiler-checked contracts: under clang,
+// `-Wthread-safety -Werror` rejects any access to a GUARDED_BY member
+// without its mutex held, any ACQUIRE/RELEASE imbalance, and any REQUIRES
+// violation. Off clang the macros expand to nothing, so gcc builds are
+// byte-identical to before.
 //
 // std::mutex itself carries no annotations (libstdc++ ships none), so the
 // analysis only sees locks taken through the annotated wrappers below:

@@ -21,11 +21,11 @@
 #include "src/core/batch_runner.h"
 #include "src/core/experiment.h"
 #include "src/trace/chunk_cache.h"
+#include "src/trace/chunk_codec.h"
 #include "src/trace/corpus.h"
 #include "src/trace/trace_format.h"
 #include "src/trace/trace_writer.h"
 #include "src/util/codec.h"
-#include "src/util/crc32.h"
 #include "src/util/random_access_file.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
@@ -33,8 +33,7 @@
 namespace ddr {
 namespace {
 
-const IoBackend kAllBackends[] = {IoBackend::kStream, IoBackend::kPread,
-                                  IoBackend::kMmap};
+const IoBackend kAllBackends[] = {IoBackend::kPread, IoBackend::kMmap};
 
 CorpusReaderOptions WithBackend(IoBackend backend, uint64_t cache_bytes) {
   CorpusReaderOptions options;
@@ -270,7 +269,7 @@ TEST(CorpusTest, DetectsCorruptionAndTruncationOnEveryBackend) {
   }
 }
 
-// All three I/O backends decode the same DDRC bundle to bit-identical
+// Both I/O backends decode the same DDRC bundle to bit-identical
 // event logs, with VerifyAll green everywhere — zero-copy mmap reads are
 // not allowed to change a single decoded byte.
 TEST(CorpusTest, BackendsDecodeBitIdentically) {
@@ -305,9 +304,8 @@ TEST(CorpusTest, BackendsDecodeBitIdentically) {
     }
     logs_by_backend.push_back(std::move(combined));
   }
-  ASSERT_EQ(logs_by_backend.size(), 3u);
+  ASSERT_EQ(logs_by_backend.size(), 2u);
   EXPECT_EQ(logs_by_backend[0], logs_by_backend[1]);
-  EXPECT_EQ(logs_by_backend[0], logs_by_backend[2]);
 }
 
 // The cache-counter truthfulness property: a warm re-read of a chunk
@@ -842,9 +840,11 @@ TEST(CorpusJournalTest, TornTailRecoversPreviousGeneration) {
       EXPECT_EQ(corpus->generation(), 2u) << "keep " << keep;
       ASSERT_EQ(corpus->entries().size(), 2u);
       EXPECT_EQ(corpus->Find("c"), nullptr);
-      // The torn tail is accounted as dead bytes past the live trailer.
+      // The torn tail is accounted as dead bytes past the live trailer,
+      // and it is the only dead region: every delta index is live.
       EXPECT_EQ(corpus->file_size() - corpus->tail_offset(),
                 keep - gen2.size());
+      EXPECT_EQ(corpus->dead_bytes(), keep - gen2.size());
       EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
     }
   }
@@ -880,8 +880,8 @@ TEST(CorpusJournalTest, TornTailRecoversPreviousGeneration) {
   EXPECT_EQ(corpus->Find("c"), nullptr);
   EXPECT_TRUE(corpus->VerifyAll().ok());
 
-  // Compact reclaims everything: leftover torn bytes and superseded
-  // index generations alike.
+  // Compact reclaims everything: leftover torn bytes and the delta index
+  // chain alike.
   auto squashed = CompactCorpus(path.get(), {});
   ASSERT_TRUE(squashed.ok()) << squashed.status();
   auto compacted = CorpusReader::Open(path.get());
@@ -892,9 +892,9 @@ TEST(CorpusJournalTest, TornTailRecoversPreviousGeneration) {
 }
 
 // A crash after the header version flip but before any appended byte
-// leaves a journal-version header (2 or 3) over a v1 body: the journal
-// recovery path serves it (generation 1, zero dead bytes) and the next
-// append chains normally.
+// leaves a version-3 header over a v1 body: the journal recovery path
+// serves it (generation 1, zero dead bytes) and the next append chains
+// normally.
 TEST(CorpusJournalTest, HeaderFlipAloneStaysReadable) {
   ScopedPath path("journalflip");
   {
@@ -904,18 +904,16 @@ TEST(CorpusJournalTest, HeaderFlipAloneStaysReadable) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   std::vector<uint8_t> bytes = ReadFileBytes(path.get());
-  for (uint8_t version : {uint8_t{2}, uint8_t{3}}) {
-    bytes[4] = version;  // the little-endian version field
-    WriteFileBytes(path.get(), bytes);
-    for (IoBackend backend : kAllBackends) {
-      auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
-      ASSERT_TRUE(corpus.ok()) << corpus.status();
-      EXPECT_TRUE(corpus->journaled());
-      EXPECT_EQ(corpus->format_version(), version);
-      EXPECT_EQ(corpus->generation(), 1u);
-      EXPECT_EQ(corpus->dead_bytes(), 0u);
-      EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
-    }
+  bytes[4] = 3;  // the little-endian version field
+  WriteFileBytes(path.get(), bytes);
+  for (IoBackend backend : kAllBackends) {
+    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    EXPECT_TRUE(corpus->journaled());
+    EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionDelta);
+    EXPECT_EQ(corpus->generation(), 1u);
+    EXPECT_EQ(corpus->dead_bytes(), 0u);
+    EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
   }
   {
     auto writer = CorpusWriter::AppendTo(path.get());
@@ -1020,7 +1018,7 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
     auto version = header.GetFixed32();
     EXPECT_TRUE(version.ok());
     if (*version != kCorpusFormatVersion &&
-        *version != kCorpusFormatVersionJournal) {
+        *version != 2) {
       return InvalidArgumentError(
           StrPrintf("unsupported corpus format version %u", *version));
     }
@@ -1200,92 +1198,35 @@ TEST(CorpusJournalTest, DeltaChainMatchesFullIndexEquivalent) {
   EXPECT_EQ(ReadFileBytes(chained.get()), single_bytes);
 }
 
-// Backward compatibility: a v2 bundle — full-index journal generations
-// ("CRDJ" trailers) — keeps reading under the v3 code, with the v2 dead
-// bytes accounting (every superseded full index is dead). A v3 delta
-// append chains directly on top of it, using the v2 generation as its
-// stitch base.
-TEST(CorpusJournalTest, FullIndexV2BundleStillReadsAndUpgrades) {
-  ScopedPath path("journalv2compat");
-  TraceWriteOptions options;
-  options.events_per_chunk = 64;
+// DDRC version 2 (the retired full-index "CRDJ" journal) is no longer
+// readable: a version-2 header fails Open on both backends with the same
+// loud unsupported-version Status as any unknown version, and an append
+// refuses to touch the file.
+TEST(CorpusJournalTest, Version2HeaderIsUnsupported) {
+  ScopedPath path("version2");
   {
     CorpusWriter writer(path.get());
     ASSERT_TRUE(writer.Begin().ok());
-    ASSERT_TRUE(writer.Add("a", MakeSyntheticRecording(300, 1), options).ok());
-    ASSERT_TRUE(writer.Add("b", MakeSyntheticRecording(400, 2), options).ok());
+    ASSERT_TRUE(writer.Add("a", MakeSyntheticRecording(300, 1)).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
-
-  // Hand-roll the v2 append the PR-5 era writer produced: header flipped
-  // to version 2, then a generation-2 *full* index re-listing every
-  // entry, published by a CRC'd "CRDJ" trailer chained to the v1
-  // trailer. (The current writer only emits v3 delta generations, so the
-  // old layout is reconstructed here byte-for-byte from its spec.)
-  std::vector<CorpusEntry> base_entries;
-  {
-    auto corpus = CorpusReader::Open(path.get());
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    base_entries = corpus->entries();
-  }
   std::vector<uint8_t> bytes = ReadFileBytes(path.get());
-  const uint64_t v1_trailer_offset = bytes.size() - kCorpusTrailerBytes;
   bytes[4] = 2;
-  Encoder index;
-  index.PutVarint64(base_entries.size());
-  for (const CorpusEntry& entry : base_entries) {
-    index.PutString(entry.name);
-    index.PutVarint64(entry.offset);
-    index.PutVarint64(entry.length);
-    index.PutString(entry.model);
-    index.PutString(entry.scenario);
-    index.PutVarint64(entry.event_count);
-    index.PutDouble(entry.original_wall_seconds);
-  }
-  const uint64_t index_offset = bytes.size();
-  const std::vector<uint8_t> section = EncodeTraceSection(
-      TraceSection::kCorpusIndex, index.buffer(), /*allow_compress=*/true);
-  bytes.insert(bytes.end(), section.begin(), section.end());
-  Encoder trailer;
-  trailer.PutFixed64(index_offset);
-  trailer.PutFixed64(v1_trailer_offset);
-  trailer.PutFixed32(2);  // generation
-  trailer.PutFixed32(Crc32(trailer.buffer().data(), trailer.size()));
-  trailer.PutFixed32(kCorpusJournalTrailerMagic);
-  bytes.insert(bytes.end(), trailer.buffer().begin(), trailer.buffer().end());
   WriteFileBytes(path.get(), bytes);
 
-  // The superseded generation-1 index + v1 trailer are dead under v2
-  // accounting (the full generation-2 index replaces them).
-  uint64_t v2_dead = 0;
   for (IoBackend backend : kAllBackends) {
     auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionJournal);
-    EXPECT_EQ(corpus->generation(), 2u);
-    ASSERT_EQ(corpus->entries().size(), 2u);
-    EXPECT_GT(corpus->dead_bytes(), 0u);
-    v2_dead = corpus->dead_bytes();
-    EXPECT_TRUE(corpus->VerifyAll().ok()) << IoBackendName(backend);
+    ASSERT_FALSE(corpus.ok()) << IoBackendName(backend);
+    EXPECT_EQ(corpus.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(corpus.status().message().find("unsupported corpus format "
+                                             "version 2"),
+              std::string::npos)
+        << corpus.status().message();
   }
-
-  // A delta append upgrades the header to v3 and stitches against the
-  // v2 full index; the dead accounting is unchanged by the new (live)
-  // generation.
-  {
-    auto writer = CorpusWriter::AppendTo(path.get());
-    ASSERT_TRUE(writer.ok()) << writer.status();
-    ASSERT_TRUE((*writer)->Add("c", MakeSyntheticRecording(150, 3), options).ok());
-    ASSERT_TRUE((*writer)->Finish().ok());
-  }
-  auto corpus = CorpusReader::Open(path.get());
-  ASSERT_TRUE(corpus.ok()) << corpus.status();
-  EXPECT_EQ(corpus->format_version(), kCorpusFormatVersionDelta);
-  EXPECT_EQ(corpus->generation(), 3u);
-  ASSERT_EQ(corpus->entries().size(), 3u);
-  EXPECT_EQ(corpus->entries().back().name, "c");
-  EXPECT_EQ(corpus->dead_bytes(), v2_dead);
-  EXPECT_TRUE(corpus->VerifyAll().ok());
+  auto writer = CorpusWriter::AppendTo(path.get());
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadFileBytes(path.get()), bytes);
 }
 
 // Merging the split halves of a grid reproduces every embedded image of
@@ -1896,8 +1837,8 @@ TEST(BatchRunnerTest, CorpusReplayMatchesInMemoryRows) {
 
 // The serve path at full concurrency: 8 workers sharing one CorpusReader
 // handle and one decoded-chunk cache produce the same deterministic row
-// signatures as a single worker on the cold stream backend — for every
-// I/O backend.
+// signatures as a single worker on the cold pread backend — for both
+// I/O backends.
 TEST(BatchRunnerTest, SharedReaderParallelReplayMatchesAcrossBackends) {
   ScopedPath corpus_path("sharedreplay");
   BatchOptions options;
@@ -1909,14 +1850,14 @@ TEST(BatchRunnerTest, SharedReaderParallelReplayMatchesAcrossBackends) {
   auto built = BatchRunner(FastScenarios(), options).Run();
   ASSERT_TRUE(built.ok()) << built.status();
 
-  // Baseline: sequential, buffered stream, no cache.
+  // Baseline: sequential, pread, no cache.
   ReplayCorpusOptions baseline;
   baseline.threads = 1;
-  baseline.reader = WithBackend(IoBackend::kStream, 0);
+  baseline.reader = WithBackend(IoBackend::kPread, 0);
   auto sequential = ReplayCorpus(corpus_path.get(), FastScenarios(), baseline);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   ASSERT_EQ(sequential->cells.size(), 6u);
-  EXPECT_EQ(sequential->io_backend, "stream");
+  EXPECT_EQ(sequential->io_backend, "pread");
   EXPECT_EQ(sequential->cache_stats.hits, 0u);
   EXPECT_GT(sequential->corpus_bytes_read, 0u);
 
@@ -2085,6 +2026,69 @@ TEST(BatchRunnerTest, ReplayCorpusRejectsUnknownScenario) {
   auto replayed = ReplayCorpus(path.get(), AllBugScenarios());
   ASSERT_FALSE(replayed.ok());
   EXPECT_EQ(replayed.status().code(), StatusCode::kNotFound);
+}
+
+// Readers decode columnar chunks on the batched path only; the scalar
+// decoder stays as its reference. Every chunk of a varint-delta bundle
+// of the bundled scenarios, read through either backend, must decode to
+// bit-identical events on both paths.
+TEST(BatchRunnerTest, BundledScenarioChunksDecodeIdenticallyOnBothPaths) {
+  ScopedPath path("decodepaths");
+  BatchOptions options;
+  options.threads = 4;
+  options.corpus_path = path.get();
+  options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
+  options.trace_options.events_per_chunk = 256;
+  const std::vector<BugScenario> scenarios = AllBugScenarios();
+  auto built = BatchRunner(scenarios, options).Run();
+  ASSERT_TRUE(built.ok()) << built.status();
+
+  const auto encode = [](const std::vector<Event>& events) {
+    Encoder encoder;
+    for (const Event& event : events) {
+      event.EncodeTo(&encoder);
+    }
+    return encoder.TakeBuffer();
+  };
+  for (IoBackend backend : kAllBackends) {
+    auto corpus = CorpusReader::Open(path.get(), WithBackend(backend, 0));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    ASSERT_EQ(corpus->entries().size(),
+              scenarios.size() * AllDeterminismModels().size());
+    RandomAccessFileOptions io;
+    io.backend = backend;
+    auto file = RandomAccessFile::Open(path.get(), io);
+    ASSERT_TRUE(file.ok()) << file.status();
+
+    uint64_t chunks = 0;
+    for (const CorpusEntry& entry : corpus->entries()) {
+      auto trace = corpus->OpenTrace(entry);
+      ASSERT_TRUE(trace.ok()) << trace.status();
+      uint64_t events = 0;
+      for (const TraceChunkInfo& chunk : trace->chunks()) {
+        auto payload = ReadTraceSection(**file, entry.offset, chunk.file_offset,
+                                        entry.length, TraceSection::kEventChunk,
+                                        /*bytes_read=*/nullptr);
+        ASSERT_TRUE(payload.ok()) << entry.name << ": " << payload.status();
+        ASSERT_EQ(payload->filter, TraceFilter::kVarintDelta) << entry.name;
+        auto batched = DecodeEventChunkPayloadWithPath(
+            payload->view, payload->filter, chunk.first_event,
+            chunk.event_count, ColumnarDecodePath::kBatched);
+        auto scalar = DecodeEventChunkPayloadWithPath(
+            payload->view, payload->filter, chunk.first_event,
+            chunk.event_count, ColumnarDecodePath::kScalar);
+        ASSERT_TRUE(batched.ok()) << entry.name << ": " << batched.status();
+        ASSERT_TRUE(scalar.ok()) << entry.name << ": " << scalar.status();
+        EXPECT_EQ(encode(*batched), encode(*scalar))
+            << entry.name << " chunk at event " << chunk.first_event << " on "
+            << IoBackendName(backend);
+        events += batched->size();
+        ++chunks;
+      }
+      EXPECT_EQ(events, entry.event_count) << entry.name;
+    }
+    EXPECT_GT(chunks, 0u);
+  }
 }
 
 }  // namespace

@@ -481,9 +481,8 @@ TEST(FaultTortureTest, StoragePathsEnumerateAtLeastTwentyDistinctSites) {
   EnumerateSites([&] { return BuildBundle(path.get(), {"one", "two"}); },
                  &sites);
   EnumerateSites([&] { return AppendEntry(path.get(), "three", 61); }, &sites);
-  // Reads on every backend (stream / pread / mmap are distinct sites).
-  for (IoBackend backend :
-       {IoBackend::kStream, IoBackend::kPread, IoBackend::kMmap}) {
+  // Reads on both backends (pread / mmap are distinct sites).
+  for (IoBackend backend : {IoBackend::kPread, IoBackend::kMmap}) {
     EnumerateSites(
         [&] {
           CorpusReaderOptions options;

@@ -1,7 +1,7 @@
 // Tests for the random-access I/O layer (src/util/random_access_file.h)
 // and the shared decoded-chunk cache (src/trace/chunk_cache.h).
 //
-// The acceptance properties: all three backends serve bit-identical bytes
+// The acceptance properties: both backends serve bit-identical bytes
 // for identical reads, reads are safe from many threads on one const
 // handle, accounting (bytes_read, hit/miss/eviction counters) is truthful,
 // and the cache evicts in LRU order within its byte budget.
@@ -20,8 +20,7 @@
 namespace ddr {
 namespace {
 
-const IoBackend kAllBackends[] = {IoBackend::kStream, IoBackend::kPread,
-                                  IoBackend::kMmap};
+const IoBackend kAllBackends[] = {IoBackend::kPread, IoBackend::kMmap};
 
 class ScopedFile {
  public:
@@ -53,10 +52,9 @@ TEST(IoBackendTest, NamesRoundtripAndBadNamesFail) {
     EXPECT_EQ(*parsed, backend);
   }
   EXPECT_FALSE(ParseIoBackend("carrier-pigeon").ok());
-  // "ifstream" is accepted as an alias for the stream backend.
-  auto alias = ParseIoBackend("ifstream");
-  ASSERT_TRUE(alias.ok());
-  EXPECT_EQ(*alias, IoBackend::kStream);
+  // The retired ifstream backend's names are unknown, not aliases.
+  EXPECT_FALSE(ParseIoBackend("stream").ok());
+  EXPECT_FALSE(ParseIoBackend("ifstream").ok());
 }
 
 TEST(RandomAccessFileTest, AllBackendsServeIdenticalBytes) {
@@ -89,48 +87,32 @@ TEST(RandomAccessFileTest, AllBackendsServeIdenticalBytes) {
 }
 
 TEST(RandomAccessFileTest, ReadaheadHintsAreAdvisoryAndPreserveBytes) {
-  // posix_fadvise/madvise are pure hints: every backend must serve the
-  // exact same bytes under every readahead mode, and Advise must be
-  // callable (a no-op where unsupported) at any point in the handle's
-  // life — VerifyAll flips kSequential on and back off around its scan.
+  // posix_fadvise/madvise are pure hints: both backends must serve the
+  // exact same bytes inside and after the bracket VerifyAll puts around
+  // its scan (kSequential on, then back to kNormal).
   const std::vector<uint8_t> bytes = PatternBytes(10000);
   ScopedFile file("readahead", bytes);
   for (IoBackend backend : kAllBackends) {
-    for (ReadaheadMode mode : {ReadaheadMode::kNormal,
-                               ReadaheadMode::kSequential,
-                               ReadaheadMode::kRandom}) {
-      RandomAccessFileOptions options;
-      options.backend = backend;
-      options.allow_fallback = false;
-      options.readahead = mode;
-      auto opened = RandomAccessFile::Open(file.get(), options);
-      ASSERT_TRUE(opened.ok())
-          << IoBackendName(backend) << "/" << ReadaheadModeName(mode) << ": "
-          << opened.status();
-      EXPECT_EQ((*opened)->readahead(), mode);
+    RandomAccessFileOptions options;
+    options.backend = backend;
+    options.allow_fallback = false;
+    auto opened = RandomAccessFile::Open(file.get(), options);
+    ASSERT_TRUE(opened.ok()) << IoBackendName(backend) << ": "
+                             << opened.status();
 
-      std::vector<uint8_t> scratch;
-      auto view = (*opened)->Read(0, bytes.size(), &scratch);
-      ASSERT_TRUE(view.ok()) << view.status();
-      EXPECT_TRUE(std::equal(view->begin(), view->end(), bytes.begin()))
-          << IoBackendName(backend) << "/" << ReadaheadModeName(mode);
+    std::vector<uint8_t> scratch;
+    (*opened)->Advise(ReadaheadMode::kSequential);
+    auto view = (*opened)->Read(0, bytes.size(), &scratch);
+    ASSERT_TRUE(view.ok()) << view.status();
+    EXPECT_TRUE(std::equal(view->begin(), view->end(), bytes.begin()))
+        << IoBackendName(backend) << " under the sequential hint";
 
-      // Re-advising mid-life (the sequential-scan bracket) is safe and
-      // leaves the opening mode reported unchanged.
-      (*opened)->Advise(ReadaheadMode::kSequential);
-      (*opened)->Advise((*opened)->readahead());
-      auto again = (*opened)->Read(1234, 4096, &scratch);
-      ASSERT_TRUE(again.ok()) << again.status();
-      EXPECT_TRUE(std::equal(again->begin(), again->end(),
-                             bytes.begin() + 1234));
-    }
+    (*opened)->Advise(ReadaheadMode::kNormal);
+    auto again = (*opened)->Read(1234, 4096, &scratch);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_TRUE(std::equal(again->begin(), again->end(), bytes.begin() + 1234))
+        << IoBackendName(backend) << " after the hint is restored";
   }
-}
-
-TEST(IoBackendTest, ReadaheadModeNamesAreDistinct) {
-  EXPECT_EQ(ReadaheadModeName(ReadaheadMode::kNormal), "normal");
-  EXPECT_EQ(ReadaheadModeName(ReadaheadMode::kSequential), "sequential");
-  EXPECT_EQ(ReadaheadModeName(ReadaheadMode::kRandom), "random");
 }
 
 TEST(RandomAccessFileTest, ReadsPastEofFailWithOutOfRange) {
@@ -177,14 +159,14 @@ TEST(RandomAccessFileTest, MmapIsZeroCopyAndFallsBackOnEmptyFiles) {
   EXPECT_TRUE(scratch.empty());
 
   // mmap cannot map an empty file; with fallback the open still succeeds
-  // on a copying backend, without it the open fails.
+  // on pread, without it the open fails.
   ScopedFile empty("empty", {});
   auto strict = RandomAccessFile::Open(empty.get(), options);
   EXPECT_FALSE(strict.ok());
   options.allow_fallback = true;
   auto fallback = RandomAccessFile::Open(empty.get(), options);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
-  EXPECT_NE((*fallback)->backend(), IoBackend::kMmap);
+  EXPECT_EQ((*fallback)->backend(), IoBackend::kPread);
   EXPECT_EQ((*fallback)->size(), 0u);
 }
 

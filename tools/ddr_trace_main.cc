@@ -66,7 +66,6 @@
 #include "src/server/corpus_server.h"
 #include "src/trace/corpus.h"
 #include "src/trace/trace_reader.h"
-#include "src/trace/trace_store.h"
 #include "src/util/cli_flags.h"
 #include "src/util/string_util.h"
 
@@ -179,8 +178,8 @@ void PrintUsage() {
                "debug-rcse\n"
                "  read-side commands (info|dump|verify|replay|corpus "
                "info|verify|replay) also take\n"
-               "         --io stream|pread|mmap   I/O backend (default: "
-               "DDR_IO_BACKEND or mmap)\n"
+               "         --io pread|mmap          I/O backend (default: "
+               "mmap)\n"
                "         --cache-mb N             decoded-chunk cache budget "
                "(default: DDR_CACHE_MB or 64)\n");
 }
@@ -240,7 +239,7 @@ uint64_t ParseCacheBytesFlag(int argc, char** argv) {
   return mb << 20;
 }
 
-// Shared read-side flags: --io stream|pread|mmap and --cache-mb N.
+// Shared read-side flags: --io pread|mmap and --cache-mb N.
 RandomAccessFileOptions IoOptionsFromFlags(int argc, char** argv) {
   RandomAccessFileOptions io;
   if (const char* name = FlagValue(argc, argv, "--io")) {
@@ -388,8 +387,8 @@ int Dump(const std::string& path, uint64_t from, uint64_t count, int argc,
 }
 
 int VerifyFile(const std::string& path, int argc, char** argv) {
-  const Status status =
-      TraceStore::Verify(path, ReaderOptionsFromFlags(argc, argv));
+  auto reader = TraceReader::Open(path, ReaderOptionsFromFlags(argc, argv));
+  const Status status = reader.ok() ? reader->Verify() : reader.status();
   if (!status.ok()) {
     std::fprintf(stderr, "ddr-trace: verify FAILED: %s\n",
                  status.ToString().c_str());
@@ -690,10 +689,8 @@ int CorpusInfo(const std::string& path, int argc, char** argv) {
   std::printf("io backend:        %s\n",
               std::string(IoBackendName(corpus->io_backend())).c_str());
   std::printf("layout:            %s\n",
-              !corpus->journaled() ? "single-shot (v1)"
-              : corpus->format_version() == kCorpusFormatVersionDelta
-                  ? "journaled (v3, delta indexes)"
-                  : "journaled (v2, full indexes)");
+              corpus->journaled() ? "journaled (v3, delta indexes)"
+                                  : "single-shot (v1)");
   std::printf("generations:       %u\n", corpus->generation());
   std::printf("dead bytes:        %llu (%.1f%% of file%s)\n",
               static_cast<unsigned long long>(corpus->dead_bytes()),
