@@ -14,8 +14,8 @@ namespace ddr {
 namespace {
 
 void BM_FiberPingPong(benchmark::State& state) {
-  // Measures a full yield round-trip between two fibers (two baton handoffs
-  // + scheduler pick each way).
+  // Measures a full yield round-trip between two fibers (two user-space
+  // context switches + scheduler pick each way).
   const uint64_t switches_per_run = 2000;
   uint64_t total = 0;
   for (auto _ : state) {

@@ -671,8 +671,11 @@ class Engine {
       if (h == mu) continue;
       if (!lock_graph_[h].insert(mu).second) continue;  // edge already known
       if (Reaches(mu, h)) {
-        auto key = std::minmax(NameOf(h), NameOf(mu));
-        if (!flagged_cycles_.insert(key).second) continue;
+        // By value: std::minmax returns references, which would dangle
+        // once the two NameOf temporaries die at the end of the statement.
+        std::pair<std::string, std::string> key{NameOf(h), NameOf(mu)};
+        if (key.second < key.first) std::swap(key.first, key.second);
+        if (!flagged_cycles_.insert(std::move(key)).second) continue;
         SchedFinding finding;
         finding.kind = FindingKind::kLockOrderCycle;
         finding.message = StrPrintf(

@@ -498,6 +498,36 @@ void CheckRawSync(const StrippedSource& src, std::string_view path,
 }
 
 // ---------------------------------------------------------------------------
+// Rule: ddr-raw-context (everywhere but src/sim/fiber.cc).
+//
+// A ucontext switch is only correct when it is paired with the sanitizer
+// fiber hooks and lands on a stack the scheduler knows about. fiber.cc is
+// the one place that does both; a second switch site elsewhere would run
+// code on a stack ASan and TSan cannot see and the scheduler does not own.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kRawContext[] = {"getcontext(", "makecontext(",
+                                       "swapcontext(", "setcontext(",
+                                       "ucontext.h"};
+
+void CheckRawContext(const StrippedSource& src, std::string_view path,
+                     std::vector<LintIssue>* issues) {
+  if (PathContains(path, "src/sim/fiber.cc")) {
+    return;
+  }
+  for (const char* token : kRawContext) {
+    for (size_t pos : FindToken(src.code, token, /*exclude_member=*/true)) {
+      issues->push_back(LintIssue{
+          std::string(path), src.line_of[pos], "ddr-raw-context",
+          StrPrintf("raw '%s' outside src/sim/fiber.cc: context switches "
+                    "must go through ddr::Fiber, which pairs each one with "
+                    "the sanitizer fiber hooks",
+                    token)});
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: ddr-suppression, and the suppression map itself.
 //
 // Grammar: `NOLINT(ddr-<rule>): <justification>` suppresses <rule> on its
@@ -598,6 +628,7 @@ std::vector<LintIssue> LintSource(std::string_view display_path,
   CheckUnorderedIteration(src, display_path, &found);
   CheckRawIo(src, display_path, &found);
   CheckRawSync(src, display_path, &found);
+  CheckRawContext(src, display_path, &found);
   for (LintIssue& issue : found) {
     auto it = suppressed.find(issue.line);
     if (it != suppressed.end() && it->second.count(issue.rule) > 0) {

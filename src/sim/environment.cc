@@ -77,7 +77,7 @@ Outcome Environment::Run(SimProgram& program) {
   outcome_.trace_fingerprint = fingerprint_sink_.fingerprint();
   outcome_.output_fingerprint = output_fingerprint_.value();
 
-  fibers_.clear();  // joins all backing threads
+  fibers_.clear();
   return outcome_;
 }
 
@@ -134,7 +134,6 @@ void Environment::SchedulerLoop() {
     current_ = f;
     in_scheduler_context_ = false;
     f->Resume();
-    sched_baton_.Wait();
     in_scheduler_context_ = true;
     current_ = nullptr;
     last_running_ = next;
@@ -213,7 +212,6 @@ void Environment::ShutdownAllFibers() {
       current_ = f;
       in_scheduler_context_ = false;
       f->Resume();
-      sched_baton_.Wait();
       in_scheduler_context_ = true;
       current_ = nullptr;
     }
@@ -316,7 +314,6 @@ void Environment::FiberTrampoline(Fiber* f, const std::function<void()>& body) {
     stop_requested_ = true;
   }
   last_switch_cause_ = SwitchCause::kExit;
-  sched_baton_.Post();
 }
 
 void Environment::SwitchOut(Fiber::State new_state) {
@@ -326,8 +323,7 @@ void Environment::SwitchOut(Fiber::State new_state) {
   if (new_state == Fiber::State::kRunnable) {
     MakeRunnable(f->id());
   }
-  sched_baton_.Post();
-  f->WaitForResume();
+  f->SwitchToScheduler();
   if (f->kill_requested()) {
     throw FiberKilled{};
   }

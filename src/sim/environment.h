@@ -7,10 +7,13 @@
 // ExecutionDirector can observe and override, and every decision is
 // materialized as an Event fanned out to TraceSinks.
 //
-// Concurrency model: fibers are OS threads scheduled strictly one-at-a-time
-// via baton handoff (see fiber.h), so all Environment state is accessed with
-// mutual exclusion by construction and executions are a pure function of
-// (program, seed, director).
+// Concurrency model: Run() is single-threaded. The scheduler loop and every
+// fiber execute on the OS thread that called Run(); fibers are user-space
+// contexts with their own stacks (see fiber.h), and control moves only
+// through explicit context switches between the scheduler and one fiber.
+// All Environment state is therefore touched by one thread, without locks,
+// and an execution is a pure function of (program, seed, director).
+// Separate Environments share nothing and may run on separate threads.
 //
 // Lifecycle: construct -> configure (sinks, director, fault plan, spec) ->
 // Run(program) exactly once -> inspect Outcome.
@@ -200,7 +203,7 @@ class Environment {
   // runs a preemption point first if `preempt` is true.
   void EmitLibraryEvent(EventType type, ObjectId obj, uint64_t value, uint64_t aux,
                         uint32_t bytes, bool preempt = true);
-  // Schedules a callback on the scheduler thread at virtual time `when`
+  // Schedules a callback in scheduler context at virtual time `when`
   // (>= now). Callbacks must not block.
   void ScheduleCallbackAt(SimTime when, std::function<void()> callback);
   // Crashes a node: kills its fibers, marks it dead, notifies listeners.
@@ -306,7 +309,6 @@ class Environment {
   std::vector<FiberId> runnable_;
   Fiber* current_ = nullptr;
   FiberId last_running_ = kInvalidFiber;
-  Baton sched_baton_;
   size_t live_fibers_ = 0;
 
   // Armed OOM faults: (node, earliest time).

@@ -314,6 +314,35 @@ TEST(LintSource, RawSyncWrappersAndJustifiedSuppressionPass) {
   EXPECT_TRUE(LintSource("src/core/sup.cc", suppressed).empty());
 }
 
+TEST(LintSource, RawContextOnlyInFiberCc) {
+  const char* src = R"cc(
+    #include <ucontext.h>
+    ucontext_t a, b;
+    void Go() {
+      getcontext(&a);
+      makecontext(&a, nullptr, 0);
+      ::swapcontext(&b, &a);
+      setcontext(&b);
+    }
+  )cc";
+  const std::vector<LintIssue> issues = LintSource("src/core/ctx.cc", src);
+  ASSERT_EQ(issues.size(), 5u);
+  for (const LintIssue& issue : issues) {
+    EXPECT_EQ(issue.rule, "ddr-raw-context");
+  }
+  EXPECT_NE(issues[0].message.find("ucontext.h"), std::string::npos);
+  EXPECT_NE(issues[3].message.find("swapcontext("), std::string::npos);
+  // The one sanctioned switch site.
+  EXPECT_TRUE(LintSource("src/sim/fiber.cc", src).empty());
+  // Unlike ddr-raw-sync, tests/ and tools/ are in scope too.
+  EXPECT_EQ(LintSource("tests/sim_test.cc", src).size(), 5u);
+  EXPECT_EQ(LintSource("src/sim/environment.cc", src).size(), 5u);
+  // Member calls of the same name are not the libc primitives.
+  EXPECT_TRUE(
+      LintSource("src/core/m.cc", "void F(T& t) { t.setcontext(1); }\n")
+          .empty());
+}
+
 // ---------------------------------------------------------------------------
 // JSON output: FormatLintIssuesJson must round-trip through an actual
 // JSON parser (a minimal one lives below), not just look JSON-shaped.

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
+#include "src/apps/scenarios.h"
+#include "src/core/experiment.h"
 #include "src/sim/channel.h"
 #include "src/sim/disk.h"
 #include "src/sim/environment.h"
 #include "src/sim/network.h"
 #include "src/sim/shared_var.h"
 #include "src/sim/sync.h"
+#include "src/util/thread_annotations.h"
 
 namespace ddr {
 namespace {
@@ -430,6 +436,126 @@ TEST(SimDeterminismTest, PolicySweepFingerprintsStable) {
             << " seed=" << seed;
       }
     }
+  }
+}
+
+TEST(SimFiberTest, TenThousandFibersParkAtOnce) {
+  // Every fiber parks on the gate with its own stack live; main yields after
+  // each spawn so the runnable set stays small and the cost measured is the
+  // fibers', not the scheduler's pick over thousands of runnable ids.
+#if defined(__SANITIZE_THREAD__)
+  // TSan maps a trace and a shadow stack per fiber (about 6 mappings each,
+  // against 2 without it); 10,000 live fibers would exceed the default
+  // vm.max_map_count of 65530.
+  constexpr int kFibers = 4'000;
+#else
+  constexpr int kFibers = 10'000;
+#endif
+  Environment env(Opts(5, 0.0));
+  int passed = 0;
+  int passed_before_open = -1;
+  Outcome outcome = env.Run("many", [&](Environment& e) {
+    SimSemaphore gate(e, "gate", 0);
+    std::vector<FiberId> fibers;
+    fibers.reserve(kFibers);
+    for (int i = 0; i < kFibers; ++i) {
+      fibers.push_back(e.Spawn("parked", [&] {
+        gate.Acquire();
+        ++passed;
+      }));
+      e.Yield();
+    }
+    passed_before_open = passed;
+    for (int i = 0; i < kFibers; ++i) {
+      gate.Release();
+      e.Yield();
+    }
+    for (FiberId f : fibers) {
+      e.Join(f);
+    }
+  });
+  EXPECT_FALSE(outcome.Failed()) << outcome.failures.front().message;
+  EXPECT_EQ(passed_before_open, 0);
+  EXPECT_EQ(passed, kFibers);
+}
+
+TEST(SimFiberTest, ShutdownRunsDestructorsOfBlockedFibers) {
+  // Fibers still blocked when the root fiber exits are unwound with
+  // FiberKilled on their own stacks, so their RAII objects are destroyed.
+  struct Counted {
+    int* count;
+    ~Counted() { ++*count; }
+  };
+  int destroyed = 0;
+  int resumed = 0;
+  Environment env(Opts(6, 0.0));
+  // The handles outlive Run(): the killed fibers unwind after main returns.
+  std::optional<SimMutex> mu;
+  std::optional<Channel<int>> chan;
+  Outcome outcome = env.Run("teardown", [&](Environment& e) {
+    mu.emplace(e, "mu");
+    chan.emplace(e, "chan");
+    mu->Lock();
+    e.Spawn("on_mutex", [&] {
+      Counted guard{&destroyed};
+      mu->Lock();
+      ++resumed;
+    });
+    e.Spawn("on_channel", [&] {
+      Counted guard{&destroyed};
+      chan->Recv();
+      ++resumed;
+    });
+    e.Spawn("on_sleep", [&] {
+      Counted guard{&destroyed};
+      e.SleepFor(3600 * kSecond);
+      ++resumed;
+    });
+    e.SleepFor(kMillisecond);  // let all three block
+    EXPECT_EQ(destroyed, 0);
+  });
+  EXPECT_FALSE(outcome.Failed());
+  EXPECT_EQ(resumed, 0);
+  EXPECT_EQ(destroyed, 3);
+}
+
+TEST(SimFiberTest, ConcurrentEnvironmentsMatchSerialRun) {
+  // Environments share nothing: the hypertable production run gives the
+  // same fingerprints on four OS threads at once as it does alone.
+  ExperimentHarness harness(MakeHypertableScenario());
+  ASSERT_TRUE(harness.Prepare().ok());
+  const BugScenario& scenario = harness.scenario();
+  auto run_production = [&] {
+    Environment::Options options = scenario.env_options;
+    options.seed = harness.production_sched_seed();
+    Environment env(options);
+    std::unique_ptr<SimProgram> program =
+        scenario.make_program(scenario.production_world_seed);
+    return env.Run(*program);
+  };
+  const Outcome serial = run_production();
+  EXPECT_EQ(serial.trace_fingerprint,
+            harness.production_outcome().trace_fingerprint);
+  EXPECT_GT(serial.stats.context_switches, 100u);
+
+  constexpr int kThreads = 4;
+  constexpr int kRunsPerThread = 2;
+  std::vector<Outcome> outcomes(kThreads * kRunsPerThread);
+  std::vector<OsThread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRunsPerThread; ++r) {
+        outcomes[t * kRunsPerThread + r] = run_production();
+      }
+    });
+  }
+  for (OsThread& thread : threads) {
+    thread.join();
+  }
+  for (const Outcome& outcome : outcomes) {
+    EXPECT_EQ(outcome.trace_fingerprint, serial.trace_fingerprint);
+    EXPECT_EQ(outcome.output_fingerprint, serial.output_fingerprint);
+    EXPECT_EQ(outcome.stats.events, serial.stats.events);
   }
 }
 
