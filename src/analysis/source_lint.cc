@@ -498,12 +498,13 @@ void CheckRawSync(const StrippedSource& src, std::string_view path,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: ddr-raw-context (everywhere but src/sim/fiber.cc).
+// Rule: ddr-raw-context (everywhere).
 //
-// A ucontext switch is only correct when it is paired with the sanitizer
-// fiber hooks and lands on a stack the scheduler knows about. fiber.cc is
-// the one place that does both; a second switch site elsewhere would run
-// code on a stack ASan and TSan cannot see and the scheduler does not own.
+// ddr::Fiber switches stacks with its own assembly routine in
+// src/sim/fiber.cc, paired with the sanitizer fiber hooks. A ucontext
+// switch anywhere would run code on a stack ASan and TSan cannot see and
+// the scheduler does not own, and swapcontext costs a system call per
+// switch.
 // ---------------------------------------------------------------------------
 
 constexpr const char* kRawContext[] = {"getcontext(", "makecontext(",
@@ -512,16 +513,12 @@ constexpr const char* kRawContext[] = {"getcontext(", "makecontext(",
 
 void CheckRawContext(const StrippedSource& src, std::string_view path,
                      std::vector<LintIssue>* issues) {
-  if (PathContains(path, "src/sim/fiber.cc")) {
-    return;
-  }
   for (const char* token : kRawContext) {
     for (size_t pos : FindToken(src.code, token, /*exclude_member=*/true)) {
       issues->push_back(LintIssue{
           std::string(path), src.line_of[pos], "ddr-raw-context",
-          StrPrintf("raw '%s' outside src/sim/fiber.cc: context switches "
-                    "must go through ddr::Fiber, which pairs each one with "
-                    "the sanitizer fiber hooks",
+          StrPrintf("raw '%s': context switches must go through ddr::Fiber, "
+                    "which pairs each one with the sanitizer fiber hooks",
                     token)});
     }
   }

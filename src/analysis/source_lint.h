@@ -28,10 +28,9 @@
 //                            ddr::OsThread) from
 //                            src/util/thread_annotations.h.
 //   ddr-raw-context          getcontext( / makecontext( / swapcontext( /
-//                            setcontext( or <ucontext.h> anywhere but
-//                            src/sim/fiber.cc: a context switch that
-//                            bypasses ddr::Fiber skips the sanitizer
-//                            fiber hooks.
+//                            setcontext( or <ucontext.h> anywhere: a
+//                            context switch that bypasses ddr::Fiber
+//                            skips the sanitizer fiber hooks.
 //   ddr-suppression          a ddr NOLINT marker with no justification
 //                            text after it. Suppressions are allowed,
 //                            silent ones are not. This rule cannot

@@ -33,7 +33,7 @@ Result<ScenarioPrep> ScenarioPrep::Compute(const BugScenario& scenario,
     if (outcome.Failed()) {
       prep.production_sched_seed = seed;
       prep.production_outcome = std::move(outcome);
-      prep.production_trace = sink.events();
+      prep.production_trace = std::move(sink).TakeEvents();
       prep.production_wall_seconds = prep.production_outcome.stats.wall_seconds;
       found = true;
       break;

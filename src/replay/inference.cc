@@ -115,7 +115,7 @@ bool InferenceEngine::RunCandidate(uint64_t world_seed, uint64_t sched_seed,
   if (accept(outcome)) {
     result->found = true;
     result->outcome = std::move(outcome);
-    result->trace = sink.events();
+    result->trace = std::move(sink).TakeEvents();
     result->world_seed = world_seed;
     result->sched_seed = sched_seed;
     result->fault_plan_index = fault_plan_index;

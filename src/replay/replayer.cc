@@ -150,7 +150,7 @@ ReplayResult Replayer::DirectReplay(const RecordedExecution& recording,
     result.started_from_event = checkpoint->event_index;
     result.fast_forward_verified = index->full_stream && gate->Verified();
   } else {
-    result.trace = sink.events();
+    result.trace = std::move(sink).TakeEvents();
   }
   result.divergences = director.divergences();
   result.failure_reproduced = recording.snapshot.MatchesFailureOf(result.outcome);

@@ -118,11 +118,10 @@ void Environment::SchedulerLoop() {
       }
       continue;
     }
-    std::sort(runnable_.begin(), runnable_.end());
     const FiberId next =
         director_->PickNextFiber(*this, runnable_, context_switches_);
-    const auto it = std::find(runnable_.begin(), runnable_.end(), next);
-    CHECK(it != runnable_.end())
+    const auto it = std::lower_bound(runnable_.begin(), runnable_.end(), next);
+    CHECK(it != runnable_.end() && *it == next)
         << "director picked non-runnable fiber " << next;
     runnable_.erase(it);
 
@@ -405,7 +404,8 @@ void Environment::MakeRunnable(FiberId id) {
   Fiber* f = fiber(id);
   CHECK(f != nullptr);
   f->set_state(Fiber::State::kRunnable);
-  runnable_.push_back(id);
+  // Kept sorted here so the director always sees an ascending set.
+  runnable_.insert(std::lower_bound(runnable_.begin(), runnable_.end(), id), id);
 }
 
 void Environment::Join(FiberId target_id) {

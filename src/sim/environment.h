@@ -306,7 +306,7 @@ class Environment {
   // Fibers and scheduling.
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<ObjectId> fiber_object_ids_;
-  std::vector<FiberId> runnable_;
+  std::vector<FiberId> runnable_;  // ascending
   Fiber* current_ = nullptr;
   FiberId last_running_ = kInvalidFiber;
   size_t live_fibers_ = 0;

@@ -1,6 +1,6 @@
 // Cooperative fibers: user-space contexts switched on the scheduler's thread.
 //
-// A fiber is a saved machine context plus its own fixed-size stack (mmap'd,
+// A fiber is a saved stack pointer plus its own fixed-size stack (mmap'd,
 // with a PROT_NONE guard page below it). Resume() switches from the
 // scheduler into the fiber; the fiber hands control back with
 // SwitchToScheduler() or by finishing. All of it runs on the one OS thread
@@ -9,6 +9,13 @@
 // explicit and the scheduler picks successors deterministically, an
 // execution is a pure function of (program, seed, director) — the property
 // the whole toolkit rests on.
+//
+// A switch is a few instructions of x86-64 assembly (callee-saved
+// registers, the floating-point control words, the stack pointer) and makes
+// no system call. A finished fiber's stack goes back to a per-thread pool
+// that the next spawn on that thread draws from, so a spawn maps memory
+// only when the pool is empty. x86-64 only: other architectures fail to
+// compile until the switch is ported.
 
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
@@ -50,6 +57,11 @@ class Fiber {
   // (~18 KiB under ASan); untouched pages are never committed. Overflowing
   // it faults on the guard page instead of corrupting memory.
   static constexpr size_t kStackBytes = 256 * 1024;
+  // Finished fibers' stacks each thread keeps for reuse. Their touched
+  // pages stay committed, so idle stacks hold at most
+  // kIdleStacksPerThread x kStackBytes (16 MiB) per thread, and in practice
+  // kIdleStacksPerThread x the deepest use (~0.5 MiB).
+  static constexpr size_t kIdleStacksPerThread = 64;
 
   Fiber(FiberId id, NodeId node, std::string name);
   ~Fiber();
@@ -57,12 +69,13 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  // Allocates the stack; `trampoline` runs at the first Resume().
+  // Takes a stack from the pool (or maps one); `trampoline` runs at the
+  // first Resume().
   void Launch(std::function<void()> trampoline);
 
   // Scheduler -> fiber control transfer. Returns when the fiber calls
   // SwitchToScheduler() or its trampoline returns; in the latter case the
-  // stack and the trampoline are released here.
+  // trampoline is destroyed and the stack returned to the pool here.
   void Resume();
   // Fiber -> scheduler control transfer. Returns at the next Resume().
   void SwitchToScheduler();
@@ -99,10 +112,11 @@ class Fiber {
   std::vector<FiberId>& joiners() { return joiners_; }
 
  private:
-  // Machine contexts, stack mapping and trampoline; defined in fiber.cc,
-  // the only file that touches the context-switch primitives.
+  // Saved stack pointers, stack mapping and trampoline; defined in
+  // fiber.cc, the only file that switches stacks.
   struct Context;
-  static void Entry(unsigned hi, unsigned lo);
+  // First code to run on a new fiber's stack; never returns.
+  static void Entry(Fiber* f);
 
   const FiberId id_;
   const NodeId node_;

@@ -285,14 +285,22 @@ Status TraceReader::Verify() const {
     return InvalidArgumentError("metadata event count disagrees with footer");
   }
 
-  // Decode everything (exercises every CRC and every event decoder) and
-  // recompute checkpoint prefix fingerprints + cursor state. Note: chunks
-  // already resident in a shared cache are trusted — their CRC was checked
-  // when they were decoded from disk.
-  ASSIGN_OR_RETURN(EventLog log, ReadAllEvents());
-  const CheckpointIndex recomputed = BuildCheckpointIndex(
-      log, checkpoints_.interval, metadata_.events_per_chunk,
-      checkpoints_.full_stream);
+  // Decode every chunk (exercises every CRC and every event decoder) and
+  // recompute checkpoint prefix fingerprints + cursor state one chunk at a
+  // time, never holding the whole log. Note: chunks already resident in a
+  // shared cache are trusted — their CRC was checked when they were decoded
+  // from disk.
+  CheckpointBuilder builder(checkpoints_.interval, metadata_.events_per_chunk);
+  for (size_t i = 0; i < footer_.chunks.size(); ++i) {
+    ASSIGN_OR_RETURN(ChunkCache::EventsPtr events, DecodeChunk(i));
+    for (const Event& event : *events) {
+      builder.Observe(event);
+    }
+  }
+  if (builder.event_count() != footer_.total_events) {
+    return InvalidArgumentError("decoded event count disagrees with footer");
+  }
+  const CheckpointIndex recomputed = builder.Finish(checkpoints_.full_stream);
   if (recomputed.checkpoints.size() != checkpoints_.checkpoints.size()) {
     return InvalidArgumentError("checkpoint count disagrees with log");
   }

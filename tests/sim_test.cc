@@ -1,9 +1,12 @@
 // Deeper substrate tests beyond the smoke suite: semaphores, barriers,
 // timeouts, channel backpressure, RMW atomicity, run limits, disks,
-// TryAlloc faults, region nesting, and scheduling-policy determinism.
+// TryAlloc faults, region nesting, scheduling-policy determinism, and the
+// fiber switch and stack pool.
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "src/sim/channel.h"
 #include "src/sim/disk.h"
 #include "src/sim/environment.h"
+#include "src/sim/fiber.h"
 #include "src/sim/network.h"
 #include "src/sim/shared_var.h"
 #include "src/sim/sync.h"
@@ -517,6 +521,182 @@ TEST(SimFiberTest, ShutdownRunsDestructorsOfBlockedFibers) {
   EXPECT_FALSE(outcome.Failed());
   EXPECT_EQ(resumed, 0);
   EXPECT_EQ(destroyed, 3);
+}
+
+TEST(SimFiberTest, TwoThousandRunnableFibersKeepTheirSchedule) {
+  // Main spawns 2,000 fibers without yielding, so all of them are runnable
+  // at once and every pick is over a large set that yields keep
+  // re-entering. The constant was captured when the scheduler still sorted
+  // the runnable set before each pick; keeping it sorted on insert must
+  // show the director the same set.
+  constexpr uint64_t kFingerprint = 18425623892567615991ull;
+  Environment env(Opts(7, 0.0));
+  Outcome outcome = env.Run("crowd", [](Environment& e) {
+    SharedVar<uint64_t> x(e, "x", 0);
+    std::vector<FiberId> fibers;
+    fibers.reserve(2'000);
+    for (int i = 0; i < 2'000; ++i) {
+      fibers.push_back(e.Spawn("f", [&] {
+        x.Store(x.Load() + 1);
+        e.Yield();
+        x.Store(x.Load() + 1);
+      }));
+    }
+    for (FiberId f : fibers) {
+      e.Join(f);
+    }
+  });
+  EXPECT_FALSE(outcome.Failed());
+  EXPECT_GT(outcome.stats.context_switches, 4'000u);
+  EXPECT_EQ(outcome.trace_fingerprint, kFingerprint);
+}
+
+// Records the frame of its caller's fiber; frames on one stack lie within
+// kStackBytes of each other, frames on different stacks at least that far
+// apart.
+uintptr_t FrameAddress() {
+  return reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+}
+
+TEST(SimFiberTest, BackToBackEnvironmentsReusePooledStacks) {
+  // The second Run on this thread draws its stacks from the pool that the
+  // first Run's fibers, killed ones included, returned them to. Reuse
+  // changes neither the execution nor the teardown of killed fibers. The
+  // frame check confirms the second run really ran on the first run's
+  // stack memory.
+  struct Counted {
+    int* count;
+    ~Counted() { ++*count; }
+  };
+  struct RunResult {
+    Outcome outcome;
+    std::vector<uintptr_t> frames;
+    int destroyed = 0;
+    int stuck_resumed = 0;
+  };
+  auto run_once = [] {
+    RunResult run;
+    Environment env(Opts(8));
+    // Outlives Run(): the stuck fibers unwind after main returns.
+    std::optional<SimMutex> mu;
+    run.outcome = env.Run("reuse", [&](Environment& e) {
+      run.frames.push_back(FrameAddress());
+      mu.emplace(e, "mu");
+      mu->Lock();
+      SharedVar<uint64_t> x(e, "x", 0);
+      std::vector<FiberId> workers;
+      for (int i = 0; i < 8; ++i) {
+        workers.push_back(e.Spawn("worker", [&] {
+          run.frames.push_back(FrameAddress());
+          Counted guard{&run.destroyed};
+          x.Store(x.Load() + 1);
+          e.Yield();
+          x.Store(x.Load() + 1);
+        }));
+      }
+      for (int i = 0; i < 4; ++i) {
+        e.Spawn("stuck", [&] {
+          run.frames.push_back(FrameAddress());
+          Counted guard{&run.destroyed};
+          mu->Lock();
+          ++run.stuck_resumed;
+        });
+      }
+      for (FiberId w : workers) {
+        e.Join(w);
+      }
+    });
+    return run;
+  };
+  const RunResult first = run_once();
+  const RunResult second = run_once();
+  for (const RunResult* run : {&first, &second}) {
+    EXPECT_FALSE(run->outcome.Failed());
+    EXPECT_EQ(run->destroyed, 12);
+    EXPECT_EQ(run->stuck_resumed, 0);
+  }
+  EXPECT_EQ(second.outcome.trace_fingerprint, first.outcome.trace_fingerprint);
+  EXPECT_EQ(second.outcome.output_fingerprint, first.outcome.output_fingerprint);
+  ASSERT_EQ(second.frames.size(), 13u);
+  for (uintptr_t frame : second.frames) {
+    bool reused = false;
+    for (uintptr_t earlier : first.frames) {
+      const uintptr_t distance = frame > earlier ? frame - earlier : earlier - frame;
+      reused = reused || distance < Fiber::kStackBytes / 2;
+    }
+    EXPECT_TRUE(reused) << "a fiber of the second run got a stack the first "
+                           "run never used";
+  }
+}
+
+TEST(SimFiberTest, RoundingModeIsPerFiber) {
+  // A switch saves and restores the MXCSR and x87 control words: a
+  // rounding mode set in one fiber is not seen by another fiber or by the
+  // thread that runs the scheduler, and is still set when the fiber
+  // resumes.
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest = one / three;
+  int mode_in_other = -1;
+  int mode_on_resume = -1;
+  double quotient_in_other = 0;
+  double quotient_on_resume = 0;
+  Environment env(Opts(9, 0.0));
+  Outcome outcome = env.Run("fenv", [&](Environment& e) {
+    SimSemaphore mode_set(e, "mode_set", 0);
+    SimSemaphore other_done(e, "other_done", 0);
+    FiberId setter = e.Spawn("setter", [&] {
+      ASSERT_EQ(fesetround(FE_UPWARD), 0);
+      mode_set.Release();
+      other_done.Acquire();
+      mode_on_resume = fegetround();
+      quotient_on_resume = one / three;
+    });
+    FiberId other = e.Spawn("other", [&] {
+      mode_set.Acquire();
+      mode_in_other = fegetround();
+      quotient_in_other = one / three;
+      other_done.Release();
+    });
+    e.Join(setter);
+    e.Join(other);
+  });
+  EXPECT_FALSE(outcome.Failed());
+  EXPECT_EQ(mode_in_other, FE_TONEAREST);
+  EXPECT_EQ(quotient_in_other, nearest);
+  EXPECT_EQ(mode_on_resume, FE_UPWARD);
+  EXPECT_GT(quotient_on_resume, nearest);
+  EXPECT_EQ(fegetround(), FE_TONEAREST);
+}
+
+// Descends `depth` levels of ~1 KiB each and returns the deepest frame.
+// alloca keeps the bytes on the real stack even when ASan moves fixed-size
+// locals to its fake stack; reading the block back (it adds 0) after the
+// call keeps every level's frame live, so the recursion is no tail call.
+[[gnu::noinline]] uintptr_t Descend(int depth) {
+  volatile char* block = static_cast<char*>(__builtin_alloca(1024));
+  block[0] = static_cast<char>(depth);
+  const uintptr_t deepest = depth == 0 ? FrameAddress() : Descend(depth - 1);
+  return deepest + static_cast<uintptr_t>(block[0] - static_cast<char>(depth));
+}
+
+TEST(SimFiberTest, DeepRecursionOnReusedStack) {
+  // A stack taken back from the pool is usable to the same depth as a
+  // fresh one: the second fiber reuses the first one's stack and recurses
+  // through about half of it.
+  uintptr_t top = 0;
+  uintptr_t deepest = 0;
+  Environment env(Opts(10, 0.0));
+  Outcome outcome = env.Run("deep", [&](Environment& e) {
+    e.Join(e.Spawn("warm", [] {}));
+    e.Join(e.Spawn("deep", [&] {
+      top = FrameAddress();
+      deepest = Descend(static_cast<int>(Fiber::kStackBytes / 2 / 1024));
+    }));
+  });
+  EXPECT_FALSE(outcome.Failed());
+  EXPECT_GE(top - deepest, Fiber::kStackBytes / 2);
+  EXPECT_LT(top - deepest, Fiber::kStackBytes);
 }
 
 TEST(SimFiberTest, ConcurrentEnvironmentsMatchSerialRun) {
