@@ -65,8 +65,7 @@ void RunDecodeBench(BenchJsonWriter& json) {
   for (uint64_t c = 0; c < kChunks; ++c) {
     chunks.push_back(MakeEvents(kEventsPerChunk, c + 1));
     payloads.push_back(EncodeEventChunkPayload(
-        chunks.back().data(), kEventsPerChunk, c * kEventsPerChunk,
-        TraceFilter::kVarintDelta));
+        chunks.back().data(), kEventsPerChunk, c * kEventsPerChunk));
   }
   const uint64_t total_events = kChunks * kEventsPerChunk * kDecodeRepeats;
 
@@ -130,8 +129,7 @@ void RunEncodeBench(BenchJsonWriter& json) {
   for (int r = 0; r < kDecodeRepeats; ++r) {
     for (uint64_t c = 0; c < kChunks; ++c) {
       bytes += EncodeEventChunkPayload(events.data() + c * kEventsPerChunk,
-                                       kEventsPerChunk, c * kEventsPerChunk,
-                                       TraceFilter::kVarintDelta)
+                                       kEventsPerChunk, c * kEventsPerChunk)
                    .size();
     }
   }

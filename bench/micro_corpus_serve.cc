@@ -66,7 +66,6 @@ void BuildCorpus() {
   CHECK(writer.Begin().ok());
   TraceWriteOptions options;
   options.events_per_chunk = 512;
-  options.chunk_filter = TraceFilter::kVarintDelta;
   for (uint64_t i = 0; i < kEntries; ++i) {
     CHECK(writer
               .Add("serve/" + std::to_string(i),
@@ -284,7 +283,6 @@ void RunAppendBench(BenchJsonWriter& json) {
     CHECK(writer.ok()) << writer.status();
     TraceWriteOptions options;
     options.events_per_chunk = 512;
-    options.chunk_filter = TraceFilter::kVarintDelta;
     for (uint64_t i = 0; i < kAppended; ++i) {
       CHECK((*writer)
                 ->Add("appended/" + std::to_string(i),
@@ -332,39 +330,28 @@ void RunAppendBench(BenchJsonWriter& json) {
 }
 
 // Append scaling: one identical small entry appended to a small and a
-// large base bundle, in both modes. The in-place journal's bytes written
-// must stay flat in the base size — O(new entry + index) — while the
-// rewrite path (the only behavior before the journal existed) is the
-// linear control that pays the whole file every time.
+// large base bundle. The journal's bytes written must stay flat in the
+// base size — O(new entry + index).
 void RunAppendScalingBench(BenchJsonWriter& json) {
   constexpr uint64_t kAppendEvents = 2'000;
   TraceWriteOptions trace_options;
   trace_options.events_per_chunk = 512;
-  trace_options.chunk_filter = TraceFilter::kVarintDelta;
 
-  const auto copy_file = [](const std::string& from, const std::string& to) {
-    std::ifstream in(from, std::ios::binary);
-    std::ofstream out(to, std::ios::binary | std::ios::trunc);
-    out << in.rdbuf();
-    CHECK(in.good()) << from;
-    CHECK(out.good()) << to;
-  };
   const auto file_size = [](const std::string& path) -> uint64_t {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     CHECK(in.good()) << path;
     return static_cast<uint64_t>(in.tellg());
   };
 
-  uint64_t in_place_written[2] = {0, 0};
-  uint64_t rewrite_written[2] = {0, 0};
+  uint64_t written[2] = {0, 0};
   uint64_t base_sizes[2] = {0, 0};
   const uint64_t base_entry_counts[2] = {2, 8};
   for (int b = 0; b < 2; ++b) {
     const uint64_t base_entries = base_entry_counts[b];
-    const std::string base_path = "micro_corpus_serve_base" +
-                                  std::to_string(base_entries) + ".tmp.ddrc";
+    const std::string path = "micro_corpus_serve_base" +
+                             std::to_string(base_entries) + ".tmp.ddrc";
     {
-      CorpusWriter writer(base_path);
+      CorpusWriter writer(path);
       CHECK(writer.Begin().ok());
       for (uint64_t i = 0; i < base_entries; ++i) {
         CHECK(writer
@@ -374,62 +361,47 @@ void RunAppendScalingBench(BenchJsonWriter& json) {
       }
       CHECK(writer.Finish().ok());
     }
-    base_sizes[b] = file_size(base_path);
+    base_sizes[b] = file_size(path);
 
-    for (const CorpusAppendMode mode :
-         {CorpusAppendMode::kInPlace, CorpusAppendMode::kRewrite}) {
-      const std::string path = "micro_corpus_serve_scale.tmp.ddrc";
-      copy_file(base_path, path);
-      CorpusAppendOptions options;
-      options.mode = mode;
-      const auto start = std::chrono::steady_clock::now();
-      uint64_t bytes_written = 0;
-      {
-        auto writer = CorpusWriter::AppendTo(path, options);
-        CHECK(writer.ok()) << writer.status();
-        CHECK((*writer)
-                  ->Add("appended/one", MakeRecording(kAppendEvents, 77),
-                        trace_options)
-                  .ok());
-        CHECK((*writer)->Finish().ok());
-        bytes_written = (*writer)->bytes_written();
-      }
-      const double seconds = Seconds(start);
-      auto reader = CorpusReader::Open(path);
-      CHECK(reader.ok()) << reader.status();
-      CHECK_EQ(reader->entries().size(), base_entries + 1);
-      CHECK(reader->VerifyAll().ok());
-
-      const bool in_place = mode == CorpusAppendMode::kInPlace;
-      (in_place ? in_place_written : rewrite_written)[b] = bytes_written;
-      std::printf(
-          "append-scaling %-8s: base %llu entries (%8llu B) + 1 entry -> "
-          "%8llu bytes written in %.4fs\n",
-          in_place ? "in-place" : "rewrite",
-          static_cast<unsigned long long>(base_entries),
-          static_cast<unsigned long long>(base_sizes[b]),
-          static_cast<unsigned long long>(bytes_written), seconds);
-
-      JsonLine line = json.Line();
-      line.Str("section", "append-scaling")
-          .Str("mode", in_place ? "in-place" : "rewrite")
-          .Int("base_entries", base_entries)
-          .Int("base_bytes", base_sizes[b])
-          .Int("appended_events", kAppendEvents)
-          .Int("bytes_written", bytes_written)
-          .Num("seconds", seconds);
-      json.Write(line);
-      std::remove(path.c_str());
+    const auto start = std::chrono::steady_clock::now();
+    {
+      auto writer = CorpusWriter::AppendTo(path);
+      CHECK(writer.ok()) << writer.status();
+      CHECK((*writer)
+                ->Add("appended/one", MakeRecording(kAppendEvents, 77),
+                      trace_options)
+                .ok());
+      CHECK((*writer)->Finish().ok());
+      written[b] = (*writer)->bytes_written();
     }
-    std::remove(base_path.c_str());
+    const double seconds = Seconds(start);
+    auto reader = CorpusReader::Open(path);
+    CHECK(reader.ok()) << reader.status();
+    CHECK_EQ(reader->entries().size(), base_entries + 1);
+    CHECK(reader->VerifyAll().ok());
+
+    std::printf(
+        "append-scaling: base %llu entries (%8llu B) + 1 entry -> "
+        "%8llu bytes written in %.4fs\n",
+        static_cast<unsigned long long>(base_entries),
+        static_cast<unsigned long long>(base_sizes[b]),
+        static_cast<unsigned long long>(written[b]), seconds);
+
+    JsonLine line = json.Line();
+    line.Str("section", "append-scaling")
+        .Int("base_entries", base_entries)
+        .Int("base_bytes", base_sizes[b])
+        .Int("appended_events", kAppendEvents)
+        .Int("bytes_written", written[b])
+        .Num("seconds", seconds);
+    json.Write(line);
+    std::remove(path.c_str());
   }
 
-  // The acceptance shape: in-place cost is flat in base size (only the
-  // index re-list grows), the rewrite cost is linear (it exceeds the
-  // base it copied).
-  CHECK(in_place_written[1] < in_place_written[0] + (64 << 10));
-  CHECK(in_place_written[1] < base_sizes[1] / 2);
-  CHECK(rewrite_written[1] > base_sizes[1]);
+  // The acceptance shape: the append cost is flat in base size (only
+  // the delta index grows with the new entries, not the base).
+  CHECK(written[1] < written[0] + (64 << 10));
+  CHECK(written[1] < base_sizes[1] / 2);
 }
 
 // The daemon transport tax: N clients over a unix-domain socket each

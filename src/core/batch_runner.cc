@@ -243,16 +243,15 @@ Result<BatchReport> BatchRunner::Run() {
     }
   });
 
-  // Bundle write, in deterministic task order — a fresh build, or an
-  // append that publishes nothing on any failure (the rewrite never
-  // renames its temp file in; a failed in-place journal append leaves
-  // only an unpublished torn tail the next append overwrites).
+  // Bundle write, in deterministic task order — a fresh build (published
+  // by rename), or an append that publishes nothing on any failure (a
+  // failed journal append leaves only an unpublished torn tail the next
+  // append overwrites).
   uint64_t corpus_bytes_written = 0;
   if (!options_.corpus_path.empty()) {
     std::unique_ptr<CorpusWriter> corpus;
     if (appending) {
       CorpusAppendOptions append_options;
-      append_options.mode = options_.resume_mode;
       append_options.io = options_.resume_io;
       ASSIGN_OR_RETURN(corpus, CorpusWriter::AppendTo(options_.corpus_path,
                                                       append_options));

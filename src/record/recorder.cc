@@ -87,11 +87,8 @@ void Recorder::OnEvent(const Event& event) {
     ++recorded_;
     if (stream_ != nullptr) {
       // Same byte accounting as EventLog::Append, without retaining the
-      // event: encode once for its size, buffer it, and hand full chunks
-      // to the sink.
-      Encoder encoder;
-      event.EncodeTo(&encoder);
-      bytes = encoder.size() + event.bytes;
+      // event: buffer it and hand full chunks to the sink.
+      bytes = event.EncodedSizeBytes() + event.bytes;
       if (stream_status_.ok()) {
         stream_buffer_.push_back(event);
         if (stream_buffer_.size() >= stream_chunk_events_) {

@@ -1,21 +1,15 @@
-// Event-chunk payload encodings.
+// Event-chunk payload encoding.
 //
-// A chunk payload always starts `first_event varint | count varint`; what
-// follows depends on the pre-filter recorded in the section framing:
+// A chunk payload is `first_event varint | count varint` followed by the
+// columnar body every event chunk uses (section filter kVarintDelta): one
+// array per field across the whole chunk, with monotone fields (seq,
+// time) stored as a first absolute value followed by zigzag deltas.
+// Consecutive events share types/fibers/regions, so the transposed arrays
+// are run-heavy and the delta'd counters tiny — exactly the shape the
+// ddrz LZ pass exploits (a row-per-event layout only gave it ~1.1x).
 //
-//   kNone         row-oriented: each event's fields in Event::EncodeTo
-//                 order, back to back (byte-identical to the original
-//                 DDRT v1 chunks).
-//   kVarintDelta  columnar: one array per field across the whole chunk,
-//                 with monotone fields (seq, time) stored as a first
-//                 absolute value followed by zigzag deltas. Consecutive
-//                 events share types/fibers/regions, so the transposed
-//                 arrays are run-heavy and the delta'd counters tiny —
-//                 exactly the shape the ddrz LZ pass exploits (the raw
-//                 row encoding only gave it ~1.1x).
-//
-// Both paths decode through DecodeEventChunkPayload, which validates the
-// embedded (first, count) against the footer's chunk table entry.
+// DecodeEventChunkPayload validates the embedded (first, count) against
+// the footer's chunk table entry and refuses any other filter.
 
 #ifndef SRC_TRACE_CHUNK_CODEC_H_
 #define SRC_TRACE_CHUNK_CODEC_H_
@@ -34,10 +28,9 @@ namespace ddr {
 // index header says they cover [first_event, first_event + count).
 std::vector<uint8_t> EncodeEventChunkPayload(const Event* events,
                                              uint64_t count,
-                                             uint64_t first_event,
-                                             TraceFilter filter);
+                                             uint64_t first_event);
 
-// Which columnar decode implementation handles kVarintDelta chunks. Both
+// Which columnar decode implementation handles a chunk. Both
 // produce bit-identical Event vectors from the same payload; kBatched is
 // the hot path every reader uses (bounds check hoisted to "a worst-case
 // varint fits", single-byte fast case, columns written straight into the
@@ -45,11 +38,12 @@ std::vector<uint8_t> EncodeEventChunkPayload(const Event* events,
 // and the codec bench assert it against.
 enum class ColumnarDecodePath { kBatched, kScalar };
 
-// Decodes a chunk payload written with `filter`, checking that its header
-// matches the expected (first_event, count) from the footer chunk table.
+// Decodes a chunk payload whose section framing carried `filter`,
+// checking that its header matches the expected (first_event, count) from
+// the footer chunk table. Any filter but kVarintDelta is InvalidArgument.
 // The payload span may alias an mmap'd file region: decoding reads it in
 // place, and the output vector is sized from the chunk's event count up
-// front. Uses the batched path for kVarintDelta chunks.
+// front. Uses the batched path.
 Result<std::vector<Event>> DecodeEventChunkPayload(
     std::span<const uint8_t> payload, TraceFilter filter,
     uint64_t expected_first, uint64_t expected_count);

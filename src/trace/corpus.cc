@@ -644,64 +644,21 @@ Status CorpusWriter::BeginAppend(const CorpusAppendOptions& options) {
                                   path_);
     }
 
-    if (options.mode == CorpusAppendMode::kInPlace) {
-      // Journal append: no existing byte is copied. Seed the entry set,
-      // remember the trailer being superseded, and release the reader's
-      // handle (scope end) before the sink starts mutating the file.
-      prev_trailer_offset_ = existing.trailer_offset();
-      generation_ = existing.generation() + 1;
-      tail = existing.tail_offset();
-      observed_size = existing.file_size();
-      observed_version = existing.format_version();
-      begun_ = true;
-      offset_ = tail;
-      entries_ = existing.entries();
-      base_entry_count_ = entries_.size();
-      for (const CorpusEntry& entry : entries_) {
-        names_.insert(entry.name);
-      }
-    } else {
-      atomic_ = std::make_unique<AtomicFileSink>(path_);
-      if (existing.journaled()) {
-        // Rewriting a journaled bundle canonicalizes it: fresh v1
-        // header, every live image copied in stitched index order — the
-        // delta index chain and any torn tail are left behind, exactly
-        // like CompactCorpus with an empty drop set.
-        RETURN_IF_ERROR(Begin());
-        for (const CorpusEntry& entry : existing.entries()) {
-          RETURN_IF_ERROR(AddImageWindow(entry, existing));
-        }
-        return OkStatus();
-      }
-      // Canonical v1 bundle: copy header + every embedded image —
-      // [0, index_offset) — into the temp sink in bounded chunks; the
-      // old index and trailer are dropped (Finish() writes merged
-      // replacements). The copy reads through the reader's own handle,
-      // so index and bytes can never disagree even if the path is
-      // atomically replaced mid-append.
-      begun_ = true;
-      std::vector<uint8_t> scratch;
-      constexpr uint64_t kCopyChunkBytes = 1 << 20;
-      const RandomAccessFile& file = *existing.file_;
-      for (uint64_t copied = 0; copied < existing.index_offset();) {
-        const uint64_t want =
-            std::min(kCopyChunkBytes, existing.index_offset() - copied);
-        ASSIGN_OR_RETURN(
-            std::span<const uint8_t> bytes,
-            file.Read(copied, static_cast<size_t>(want), &scratch));
-        status_ = WriteBytes(bytes.data(), bytes.size());
-        if (!status_.ok()) {
-          return status_;
-        }
-        copied += want;
-      }
-      offset_ = existing.index_offset();
-      entries_ = existing.entries();
-      for (const CorpusEntry& entry : entries_) {
-        names_.insert(entry.name);
-      }
-      return OkStatus();
-    }
+    // No existing byte is copied. Seed the entry set, remember the
+    // trailer being superseded, and release the reader's handle (scope
+    // end) before the sink starts mutating the file.
+    prev_trailer_offset_ = existing.trailer_offset();
+    generation_ = existing.generation() + 1;
+    tail = existing.tail_offset();
+    observed_size = existing.file_size();
+    observed_version = existing.format_version();
+    entries_ = existing.entries();
+  }
+  begun_ = true;
+  offset_ = tail;
+  base_entry_count_ = entries_.size();
+  for (const CorpusEntry& entry : entries_) {
+    names_.insert(entry.name);
   }
   ASSIGN_OR_RETURN(journal_, CorpusJournalSink::Open(path_, tail, observed_size,
                                                      prev_trailer_offset_,
@@ -877,7 +834,7 @@ Status CorpusWriter::Finish() {
   }
   finished_ = true;
 
-  // An in-place append publishes a *delta* index — only the entries this
+  // An append publishes a *delta* index — only the entries this
   // generation added — so the bytes written stay O(new entries) no
   // matter how large the bundle's live entry set is. Every other path
   // writes the canonical full index.

@@ -34,11 +34,10 @@
 // ---------------------------------------------------- delta journal (v3)
 //
 // Bundles are mutable after the fact. The copying mutations (merge,
-// compact, rewrite-mode append) go through the atomic temp + rename
-// discipline, but copying the whole bundle to add one entry makes append
-// cost O(file) — fatal for a resume loop extending a multi-GB grid. The
-// in-place append instead grows the bundle as an *index journal* (header
-// version 3):
+// compact) go through the atomic temp + rename discipline, but copying
+// the whole bundle to add one entry would make append cost O(file) —
+// fatal for a resume loop extending a multi-GB grid. An append instead
+// grows the bundle in place as an *index journal* (header version 3):
 //
 //   [header 12B: "DDRC" v3]
 //   [image]* [index g1] [trailer g1 12B]      <- generation 1 (the v1 body)
@@ -64,8 +63,7 @@
 // "unsupported corpus format version 3" instead of serving a partial
 // entry set. Header version 2 (the retired full-index "CRDJ" journal) is
 // no longer readable and fails the same way as any unknown version;
-// CompactCorpus / rewrite-mode appends squash any chain back to
-// canonical v1.
+// CompactCorpus squashes any chain back to canonical v1.
 //
 // Crash durability is by write ordering, not rename:
 //
@@ -81,15 +79,14 @@
 // and reachable: CorpusReader::Open on a v3 bundle first tries the
 // trailer at end-of-file and otherwise scans backward past the torn tail
 // for the latest trailer whose CRC *and* index section validate, then
-// chain-loads the prev-trailer offsets. The next in-place append writes
-// the new generation over the torn region (never truncating — the file
-// must not shrink under concurrent readers).
+// chain-loads the prev-trailer offsets. The next append writes the new
+// generation over the torn region (never truncating — the file must not
+// shrink under concurrent readers).
 //
-//   append   CorpusWriter::AppendTo re-opens an existing bundle. In the
-//            default kInPlace mode it journals as above; in kRewrite
-//            mode it rebuilds the canonical v1 single-shot form through
-//            a temp + rename (byte-identical to a fresh build of the
-//            same entries).
+//   append   CorpusWriter::AppendTo re-opens an existing bundle and
+//            journals the new entries in place as above. The canonical
+//            single-shot form of the result is one CompactCorpus (with
+//            an empty drop set) away.
 //   merge    MergeCorpora copies embedded images byte-for-byte through
 //            RandomAccessFile windows (zero decode, bounded memory) and
 //            rebuilds one canonical index, resolving name collisions by
@@ -151,21 +148,8 @@ struct CorpusEntry {
 class CorpusReader;
 class CorpusJournalSink;
 
-// How CorpusWriter::AppendTo grows an existing bundle.
-enum class CorpusAppendMode : uint8_t {
-  // Journal the new entries in place: O(new entries) bytes written,
-  // crash-safe by write ordering. The default — the only mode whose cost
-  // is flat in the size of the existing bundle.
-  kInPlace = 0,
-  // Rewrite the whole bundle to canonical v1 form through a temp +
-  // rename: O(file) bytes written, byte-identical to a single-shot
-  // build of the same entries.
-  kRewrite = 1,
-};
-
 struct CorpusAppendOptions {
-  CorpusAppendMode mode = CorpusAppendMode::kInPlace;
-  // Backend used to read the existing bundle (index probe + any copying).
+  // Backend used to read the existing bundle's index.
   RandomAccessFileOptions io;
 };
 
@@ -180,32 +164,30 @@ class CorpusWriter {
   // Re-opens the existing bundle at `path` for appending: the returned
   // writer carries the old entries (so duplicate-name detection spans
   // old + new) and accepts Add/AddImage/BeginRecording exactly like a
-  // writer after Begin(). Nothing is published until Finish():
+  // writer after Begin(). Nothing is published until Finish(), which
+  // appends a new index generation and fsync-ordered journal trailer
+  // after the existing bytes; no existing byte is copied, so
+  // bytes_written() is O(new entries + index). Abandoning the writer
+  // before Finish is crash-equivalent: nothing is published (the
+  // previous trailer stays the latest valid one) and the staged bytes
+  // remain as an unpublished torn tail — the file is never truncated,
+  // because a shrink could SIGBUS concurrent mmap readers scanning the
+  // tail. Torn bytes, whether from a crash or an abandoned append, are
+  // overwritten by the next append and accounted as dead_bytes until
+  // then.
   //
-  //  - kInPlace (default): Finish() appends a new index generation and
-  //    fsync-ordered journal trailer after the existing bytes; no
-  //    existing byte is copied, so bytes_written() is O(new entries +
-  //    index). Abandoning the writer before Finish is crash-equivalent:
-  //    nothing is published (the previous trailer stays the latest
-  //    valid one) and the staged bytes remain as an unpublished torn
-  //    tail — the file is never truncated, because a shrink could
-  //    SIGBUS concurrent mmap readers scanning the tail. Torn bytes,
-  //    whether from a crash or an abandoned append, are overwritten by
-  //    the next append and accounted as dead_bytes until then.
-  //    In-place appends are single-writer: the writer holds an exclusive
-  //    advisory lock (flock) on the bundle until Finish or destruction,
-  //    and a second concurrent in-place appender fails loudly with
-  //    Unavailable — unlike the rename-based paths, racing in-place
-  //    writers would corrupt the file, not just lose an update. The
-  //    bundle is also re-validated under the lock, so an append prepared
-  //    against a since-mutated file fails with FailedPrecondition
-  //    instead of truncating published bytes.
-  //  - kRewrite: the canonical single-shot file is rebuilt in a temp
-  //    file and atomically renamed in; until then the original bundle is
-  //    untouched.
+  // Appends are single-writer: the writer holds an exclusive advisory
+  // lock (flock) on the bundle until Finish or destruction, and a second
+  // concurrent appender fails loudly with Unavailable — unlike the
+  // rename-based paths, racing appenders would corrupt the file, not
+  // just lose an update. The bundle is also re-validated under the lock,
+  // so an append prepared against a since-mutated file fails with
+  // FailedPrecondition instead of truncating published bytes.
   //
-  // Readers holding an open handle keep serving the old index either way
-  // (in-place appends never mutate bytes a published index points at).
+  // Readers holding an open handle keep serving the old index (appends
+  // never mutate bytes a published index points at). CompactCorpus with
+  // an empty drop set turns the result into the canonical single-shot
+  // file, byte-identical to a fresh build of the same entries.
   [[nodiscard]] static Result<std::unique_ptr<CorpusWriter>> AppendTo(
       const std::string& path, const CorpusAppendOptions& options = {});
 
@@ -241,16 +223,16 @@ class CorpusWriter {
                                                TraceWriteOptions options = {});
   Status FinishRecording(const TraceFinishInfo& info);
 
-  // Writes the index + trailer and publishes the bundle (rename for
-  // build/rewrite, ordered fsyncs for in-place append).
+  // Writes the index + trailer and publishes the bundle (rename for a
+  // build, ordered fsyncs for an append).
   [[nodiscard]] Status Finish();
 
   const std::vector<CorpusEntry>& entries() const { return entries_; }
 
   // Physical bytes this writer has pushed to disk so far: the whole file
-  // for a build or rewrite-mode append, only the delta (new images +
-  // index + trailer + the 4-byte header flip) for an in-place append —
-  // the number the O(delta) append guarantee is asserted on.
+  // for a build, only the delta (new images + index + trailer + the
+  // 4-byte header flip) for an append — the number the O(delta) append
+  // guarantee is asserted on.
   uint64_t bytes_written() const;
 
  private:
@@ -261,8 +243,7 @@ class CorpusWriter {
 
   Status CheckOpenForNewEntry(const std::string& name);
   // AppendTo's instance half: seeds entries_/names_/offset_ from the
-  // existing bundle and arranges the journal sink (kInPlace) or the
-  // canonical copy into a temp sink (kRewrite).
+  // existing bundle and opens the journal sink at its tail.
   Status BeginAppend(const CorpusAppendOptions& options);
   // Routes bytes to whichever sink this writer runs on.
   Status WriteBytes(const uint8_t* data, size_t size);
@@ -271,14 +252,14 @@ class CorpusWriter {
   }
 
   std::string path_;
-  std::unique_ptr<AtomicFileSink> atomic_;      // build / rewrite path
-  std::unique_ptr<CorpusJournalSink> journal_;  // in-place append path
+  std::unique_ptr<AtomicFileSink> atomic_;      // build path
+  std::unique_ptr<CorpusJournalSink> journal_;  // append path
   bool begun_ = false;
   bool finished_ = false;
   Status status_;  // first error, sticky
   uint64_t offset_ = 0;
 
-  // In-place append bookkeeping: the trailer being superseded, the
+  // Append bookkeeping: the trailer being superseded, the
   // generation number the new trailer will carry, and how many of
   // entries_ were inherited from the existing bundle — Finish()'s delta
   // index covers only entries_[base_entry_count_..].
@@ -343,7 +324,7 @@ class CorpusReader {
   uint64_t dead_bytes() const { return dead_bytes_; }
   // Absolute offset of the latest valid trailer, and of its end (the
   // logical tail — equal to file_size() unless a torn tail was scanned
-  // past; the next in-place append writes from tail_offset()).
+  // past; the next append writes from tail_offset()).
   uint64_t trailer_offset() const { return trailer_offset_; }
   uint64_t tail_offset() const { return tail_offset_; }
   const std::vector<CorpusEntry>& entries() const { return entries_; }
@@ -379,7 +360,7 @@ class CorpusReader {
   [[nodiscard]] Status VerifyAll() const;
 
  private:
-  friend class CorpusWriter;  // AppendTo copies bytes through file_
+  friend class CorpusWriter;  // AddImageWindow copies bytes through file_
 
   CorpusReader() = default;
 
@@ -456,8 +437,8 @@ Result<CorpusMutationStats> CompactCorpus(
     const std::string& path, const std::vector<std::string>& drop_names,
     const RandomAccessFileOptions& io = {});
 
-// True when an in-place appender currently holds the bundle's exclusive
-// writer flock — the non-blocking TryLockShared probe behind the
+// True when an appender currently holds the bundle's exclusive writer
+// flock — the non-blocking TryLockShared probe behind the
 // "writer: active" line of `corpus info` and the server's info response.
 // Never blocks and never disturbs the writer; the answer is a snapshot.
 Result<bool> CorpusWriterActive(const std::string& path);

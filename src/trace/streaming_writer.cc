@@ -214,9 +214,7 @@ Status StreamingTraceWriter::Begin() {
   }
   Encoder encoder;
   encoder.PutFixed32(kTraceFileMagic);
-  encoder.PutFixed32(options_.chunk_filter == TraceFilter::kNone
-                         ? kTraceFormatVersion
-                         : kTraceFormatVersionFiltered);
+  encoder.PutFixed32(kTraceFormatVersion);
   encoder.PutFixed32(0);  // flags, reserved
   status_ = sink_->Append(encoder.buffer());
   if (status_.ok()) {
@@ -242,11 +240,12 @@ Status StreamingTraceWriter::FlushChunk() {
     return OkStatus();
   }
   const uint64_t first = total_events_ - pending_.size();
-  const std::vector<uint8_t> payload = EncodeEventChunkPayload(
-      pending_.data(), pending_.size(), first, options_.chunk_filter);
+  const std::vector<uint8_t> payload =
+      EncodeEventChunkPayload(pending_.data(), pending_.size(), first);
   ASSIGN_OR_RETURN(uint64_t chunk_offset,
                    WriteSection(TraceSection::kEventChunk, payload,
-                                options_.compress, options_.chunk_filter));
+                                /*allow_compress=*/true,
+                                TraceFilter::kVarintDelta));
   TraceChunkInfo chunk;
   chunk.file_offset = chunk_offset;
   chunk.first_event = first;
@@ -315,13 +314,14 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
                                        : options_.original_wall_seconds;
       ASSIGN_OR_RETURN(footer_.metadata_offset,
                        WriteSection(TraceSection::kMetadata, meta.Encode(),
-                                    options_.compress));
+                                    /*allow_compress=*/true));
     }
 
     // Snapshot.
     ASSIGN_OR_RETURN(footer_.snapshot_offset,
                      WriteSection(TraceSection::kSnapshot,
-                                  info.snapshot.Encode(), options_.compress));
+                                  info.snapshot.Encode(),
+                                  /*allow_compress=*/true));
 
     // Checkpoint index. Fingerprint verification during partial replay is
     // only sound when the log is the full intercepted stream.
@@ -332,7 +332,7 @@ Status StreamingTraceWriter::Finish(const TraceFinishInfo& info) {
       const CheckpointIndex index = checkpoints_.Finish(full_stream);
       ASSIGN_OR_RETURN(footer_.checkpoint_offset,
                        WriteSection(TraceSection::kCheckpointIndex,
-                                    index.Encode(), options_.compress));
+                                    index.Encode(), /*allow_compress=*/true));
     }
 
     // Footer + trailer. The footer is stored raw so its offset math never

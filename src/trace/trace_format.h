@@ -1,4 +1,4 @@
-// On-disk trace file format (DDRT v1).
+// On-disk trace file format (DDRT v2).
 //
 // A trace file is a RecordedExecution made durable: what a production site
 // ships to the developer running replay. Layout:
@@ -25,9 +25,9 @@
 //              stored_size varint | payload[stored_size] | crc32 fixed32
 //
 // The second framing byte packs two values: the low nibble is the byte
-// codec (raw / ddrz), the high nibble the payload pre-filter id (event
-// chunks may be varint-delta filtered before compression). Files written
-// before filters existed carry a zero high nibble and decode unchanged.
+// codec (raw / ddrz), the high nibble the payload pre-filter id. Event
+// chunks always carry kVarintDelta (the columnar layout of
+// src/trace/chunk_codec.h); every other section carries kNone.
 //
 // The trailer is fixed-width so `Open` can find the footer by reading the
 // last 12 bytes; the footer then gives random access to all sections.
@@ -53,12 +53,9 @@ namespace ddr {
 
 inline constexpr uint32_t kTraceFileMagic = 0x54524444u;   // "DDRT"
 inline constexpr uint32_t kTraceTrailerMagic = 0x44445254u;  // "TRDD"
-inline constexpr uint32_t kTraceFormatVersion = 1;
-// Stamped instead of kTraceFormatVersion when any chunk pre-filter is in
-// use, so a version-1-only reader reports a clean "unsupported version"
-// for filtered files rather than a corruption-shaped codec error.
-// Unfiltered files keep version 1 and stay readable by older readers.
-inline constexpr uint32_t kTraceFormatVersionFiltered = 2;
+// The only readable version. Version 1 (row-layout event chunks) is
+// refused with "unsupported trace format version 1".
+inline constexpr uint32_t kTraceFormatVersion = 2;
 inline constexpr size_t kTraceHeaderBytes = 12;   // magic + version + flags
 inline constexpr size_t kTraceTrailerBytes = 12;  // footer offset + magic
 
@@ -85,9 +82,9 @@ enum class TraceCodec : uint8_t {
   kDdrz = 1,  // block LZ from src/trace/block_compress.h
 };
 
-// Payload pre-filter applied before the byte codec. Filters re-encode the
-// section payload into a form that compresses better; kVarintDelta is the
-// columnar delta event-chunk encoding from src/trace/chunk_codec.h.
+// Payload pre-filter applied before the byte codec. kVarintDelta is the
+// columnar delta event-chunk encoding from src/trace/chunk_codec.h and
+// is required on event chunks; kNone marks every other section.
 enum class TraceFilter : uint8_t {
   kNone = 0,
   kVarintDelta = 1,

@@ -127,8 +127,7 @@ Result<TraceReader> TraceReader::OpenImpl(std::shared_ptr<RandomAccessFile> file
       return InvalidArgumentError("bad trace file magic");
     }
     ASSIGN_OR_RETURN(uint32_t version, decoder.GetFixed32());
-    if (version != kTraceFormatVersion &&
-        version != kTraceFormatVersionFiltered) {
+    if (version != kTraceFormatVersion) {
       return InvalidArgumentError(
           StrPrintf("unsupported trace format version %u", version));
     }

@@ -1,5 +1,5 @@
 // TraceWriter: buffered convenience wrapper that serializes a finished
-// RecordedExecution into the DDRT v1 chunked file format. Internally it
+// RecordedExecution into the DDRT v2 chunked file format. Internally it
 // drives StreamingTraceWriter (src/trace/streaming_writer.h), so a
 // recording streamed to disk during the run and one serialized after the
 // fact produce bit-identical files.

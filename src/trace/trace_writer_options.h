@@ -1,13 +1,14 @@
 // Options shared by the buffered (TraceWriter) and streaming
-// (StreamingTraceWriter) DDRT serializers.
+// (StreamingTraceWriter) DDRT serializers. The encoding itself is not an
+// option: event chunks are always varint-delta columnar
+// (src/trace/chunk_codec.h), and every section but the footer is ddrz
+// block-compressed when that shrinks it and stored raw otherwise.
 
 #ifndef SRC_TRACE_TRACE_WRITER_OPTIONS_H_
 #define SRC_TRACE_TRACE_WRITER_OPTIONS_H_
 
 #include <cstdint>
 #include <string>
-
-#include "src/trace/trace_format.h"
 
 namespace ddr {
 
@@ -17,13 +18,6 @@ struct TraceWriteOptions {
   uint64_t events_per_chunk = 512;
   // Emit a ReplayCheckpoint every N log events (0 = no checkpoints).
   uint64_t checkpoint_interval = 256;
-  // Block-compress sections that shrink (incompressible sections are
-  // stored raw automatically).
-  bool compress = true;
-  // Pre-filter for event chunks: kVarintDelta re-encodes each chunk
-  // columnar with delta'd counters before the ddrz pass (see
-  // src/trace/chunk_codec.h). Readers handle either transparently.
-  TraceFilter chunk_filter = TraceFilter::kNone;
   // Scenario name stamped into metadata so `ddr-trace replay` can rebuild
   // the program. Optional.
   std::string scenario;

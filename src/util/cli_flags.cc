@@ -31,8 +31,8 @@ TokenKind Classify(const char* token, std::span<const CliFlag> known) {
     }
     if (std::strncmp(token, flag.name, flag_len) == 0 &&
         token[flag_len] == '=') {
-      // "--delta=false" on a presence-only flag must not quietly mean
-      // "--delta" — HasCliFlag would match the prefix and ENABLE it,
+      // "--verbose=false" on a presence-only flag must not quietly mean
+      // "--verbose" — HasCliFlag would match the prefix and ENABLE it,
       // inverting the user's expressed intent.
       return flag.takes_value ? TokenKind::kValueInline
                               : TokenKind::kBoolFlagWithValue;

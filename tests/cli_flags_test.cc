@@ -16,7 +16,7 @@ namespace {
 
 constexpr CliFlag kFlags[] = {{"--io", true},
                               {"--cache-mb", true},
-                              {"--delta", false}};
+                              {"--verbose", false}};
 
 // argv helper: keeps the strings alive and hands out char* const*.
 class Argv {
@@ -36,7 +36,7 @@ class Argv {
 
 TEST(CliFlagsTest, KnownFlagsInBothFormsPass) {
   Argv args({"ddr-trace", "verify", "file.ddrt", "--io", "mmap",
-             "--cache-mb=64", "--delta"});
+             "--cache-mb=64", "--verbose"});
   EXPECT_TRUE(CheckKnownFlags(args.argc(), args.argv(), 2, kFlags).ok());
 }
 
@@ -71,16 +71,17 @@ TEST(CliFlagsTest, ValueFlagMissingItsValueFails) {
       << status.message();
 
   // A flag-shaped "value" is a missing value too, not a consumable token:
-  // otherwise "--cache-mb --delta" validates with two interpretations of
-  // "--delta" (consumed value here, live flag in HasCliFlag).
-  Argv flagish({"ddr-trace", "verify", "file.ddrt", "--cache-mb", "--delta"});
+  // otherwise "--cache-mb --verbose" validates with two interpretations of
+  // "--verbose" (consumed value here, live flag in HasCliFlag).
+  Argv flagish(
+      {"ddr-trace", "verify", "file.ddrt", "--cache-mb", "--verbose"});
   EXPECT_FALSE(CheckKnownFlags(flagish.argc(), flagish.argv(), 2, kFlags).ok());
 }
 
 TEST(CliFlagsTest, BoolFlagRejectsInlineValue) {
-  // "--delta=false" must not quietly mean "--delta": HasCliFlag matches
+  // "--verbose=false" must not quietly mean "--verbose": HasCliFlag matches
   // the prefix, which would ENABLE the flag the user tried to disable.
-  Argv args({"ddr-trace", "record", "sum", "out.ddrt", "--delta=false"});
+  Argv args({"ddr-trace", "record", "sum", "out.ddrt", "--verbose=false"});
   const Status status = CheckKnownFlags(args.argc(), args.argv(), 2, kFlags);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("does not take a value"), std::string::npos)
@@ -89,7 +90,7 @@ TEST(CliFlagsTest, BoolFlagRejectsInlineValue) {
 
 TEST(CliFlagsTest, PositionalsSkipFlagsAndTheirValues) {
   Argv args({"ddr-trace", "corpus", "merge", "out.ddrc", "in1.ddrc", "--io",
-             "mmap", "in2.ddrc", "--cache-mb=8", "in3.ddrc", "--delta"});
+             "mmap", "in2.ddrc", "--cache-mb=8", "in3.ddrc", "--verbose"});
   const std::vector<std::string> positionals =
       PositionalArgs(args.argc(), args.argv(), 4, kFlags);
   EXPECT_EQ(positionals,

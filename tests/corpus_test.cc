@@ -274,14 +274,14 @@ TEST(CorpusTest, DetectsCorruptionAndTruncationOnEveryBackend) {
 // not allowed to change a single decoded byte.
 TEST(CorpusTest, BackendsDecodeBitIdentically) {
   ScopedPath path("backends");
-  TraceWriteOptions delta;
-  delta.events_per_chunk = 128;
-  delta.chunk_filter = TraceFilter::kVarintDelta;
+  TraceWriteOptions small_chunks;
+  small_chunks.events_per_chunk = 128;
   {
     CorpusWriter writer(path.get());
     ASSERT_TRUE(writer.Begin().ok());
-    ASSERT_TRUE(writer.Add("row/a", MakeSyntheticRecording(700, 1)).ok());
-    ASSERT_TRUE(writer.Add("col/b", MakeSyntheticRecording(900, 2), delta).ok());
+    ASSERT_TRUE(writer.Add("a", MakeSyntheticRecording(700, 1)).ok());
+    ASSERT_TRUE(
+        writer.Add("b", MakeSyntheticRecording(900, 2), small_chunks).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
 
@@ -517,21 +517,15 @@ std::vector<uint8_t> SliceImage(const std::vector<uint8_t>& file,
       file.begin() + static_cast<ptrdiff_t>(entry.offset + entry.length));
 }
 
-CorpusAppendOptions RewriteMode() {
-  CorpusAppendOptions options;
-  options.mode = CorpusAppendMode::kRewrite;
-  return options;
-}
-
 uint64_t FileSizeBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   EXPECT_TRUE(in.good()) << path;
   return static_cast<uint64_t>(in.tellg());
 }
 
-// Rewrite-mode appends: appending N entries to an M-entry bundle
-// produces the byte-identical file a single (M+N)-entry build would —
-// same image placement, same merged index, same trailer.
+// Appending N entries to an M-entry bundle and then compacting it (an
+// empty drop set) produces the byte-identical file a single (M+N)-entry
+// build would — same image placement, same merged index, same trailer.
 TEST(CorpusLifecycleTest, AppendToMatchesSingleShotBitForBit) {
   const RecordedExecution r1 = MakeSyntheticRecording(400, 1);
   const RecordedExecution r2 = MakeSyntheticRecording(500, 2);
@@ -557,18 +551,21 @@ TEST(CorpusLifecycleTest, AppendToMatchesSingleShotBitForBit) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   {
-    auto writer = CorpusWriter::AppendTo(grown.get(), RewriteMode());
+    auto writer = CorpusWriter::AppendTo(grown.get());
     ASSERT_TRUE(writer.ok()) << writer.status();
     ASSERT_TRUE((*writer)->Add("b", r2, options).ok());
     ASSERT_TRUE((*writer)->Finish().ok());
   }
   {
-    auto writer = CorpusWriter::AppendTo(grown.get(), RewriteMode());
+    auto writer = CorpusWriter::AppendTo(grown.get());
     ASSERT_TRUE(writer.ok()) << writer.status();
     ASSERT_TRUE((*writer)->Add("c", r3, options).ok());
     ASSERT_TRUE((*writer)->Finish().ok());
   }
+  EXPECT_NE(ReadFileBytes(single.get()), ReadFileBytes(grown.get()));
 
+  auto stats = CompactCorpus(grown.get(), {});
+  ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(ReadFileBytes(single.get()), ReadFileBytes(grown.get()));
 
   auto corpus = CorpusReader::Open(grown.get());
@@ -606,77 +603,48 @@ TEST(CorpusLifecycleTest, AppendToMissingOrCorruptBundleFails) {
 }
 
 // An interrupted append (writer destroyed before Finish) must never
-// publish the partial entries. The rewrite mode leaves the original
-// byte-identical (its temp file never renames in); the in-place mode is
-// deliberately crash-equivalent — nothing is truncated (the file must
-// not shrink under concurrent readers), so the staged bytes remain as an
-// unpublished torn tail the recovery path scans past.
+// publish the partial entries. It is deliberately crash-equivalent:
+// nothing is truncated (the file must not shrink under concurrent
+// readers), so the staged bytes remain as an unpublished torn tail the
+// recovery path scans past, and the torn bytes are accounted dead until
+// the next append overwrites them.
 TEST(CorpusLifecycleTest, InterruptedAppendLeavesOriginalIntact) {
-  // Rewrite mode: byte-identical rollback.
+  ScopedPath path("appendinterrupt");
   {
-    ScopedPath path("appendinterruptrw");
-    {
-      CorpusWriter writer(path.get());
-      ASSERT_TRUE(writer.Begin().ok());
-      ASSERT_TRUE(writer.Add("keep", MakeSyntheticRecording(200)).ok());
-      ASSERT_TRUE(writer.Finish().ok());
-    }
-    const std::vector<uint8_t> before = ReadFileBytes(path.get());
-    {
-      auto writer = CorpusWriter::AppendTo(path.get(), RewriteMode());
-      ASSERT_TRUE(writer.ok()) << writer.status();
-      ASSERT_TRUE((*writer)->Add("lost", MakeSyntheticRecording(300)).ok());
-      // No Finish: destructor discards the temp file.
-    }
-    EXPECT_EQ(ReadFileBytes(path.get()), before);
-    auto corpus = CorpusReader::Open(path.get());
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    ASSERT_EQ(corpus->entries().size(), 1u);
-    EXPECT_FALSE(corpus->journaled());
-    EXPECT_TRUE(corpus->VerifyAll().ok());
+    CorpusWriter writer(path.get());
+    ASSERT_TRUE(writer.Begin().ok());
+    ASSERT_TRUE(writer.Add("keep", MakeSyntheticRecording(200)).ok());
+    ASSERT_TRUE(writer.Finish().ok());
   }
-
-  // In-place mode: crash-equivalent — the staged generation is never
-  // published, the original entries stay fully readable, and the torn
-  // bytes are accounted dead until the next append overwrites them.
+  const uint64_t before_size = FileSizeBytes(path.get());
   {
-    ScopedPath path("appendinterruptip");
-    {
-      CorpusWriter writer(path.get());
-      ASSERT_TRUE(writer.Begin().ok());
-      ASSERT_TRUE(writer.Add("keep", MakeSyntheticRecording(200)).ok());
-      ASSERT_TRUE(writer.Finish().ok());
-    }
-    const uint64_t before_size = FileSizeBytes(path.get());
-    {
-      auto writer = CorpusWriter::AppendTo(path.get());
-      ASSERT_TRUE(writer.ok()) << writer.status();
-      ASSERT_TRUE((*writer)->Add("lost", MakeSyntheticRecording(300)).ok());
-      // No Finish: no trailer was written, so nothing is published.
-    }
-    EXPECT_GE(FileSizeBytes(path.get()), before_size);  // never shrinks
-    auto corpus = CorpusReader::Open(path.get());
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    ASSERT_EQ(corpus->entries().size(), 1u);
-    EXPECT_EQ(corpus->Find("lost"), nullptr);
-    EXPECT_EQ(corpus->generation(), 1u);
-    EXPECT_GT(corpus->dead_bytes(), 0u);  // the torn staged bytes
-    EXPECT_TRUE(corpus->VerifyAll().ok());
-
-    // A later append overwrites the torn bytes and publishes normally.
-    {
-      auto writer = CorpusWriter::AppendTo(path.get());
-      ASSERT_TRUE(writer.ok()) << writer.status();
-      ASSERT_TRUE((*writer)->Add("next", MakeSyntheticRecording(100)).ok());
-      ASSERT_TRUE((*writer)->Finish().ok());
-    }
-    ASSERT_TRUE(corpus->Reopen().ok());
-    ASSERT_EQ(corpus->entries().size(), 2u);
-    EXPECT_EQ(corpus->generation(), 2u);
-    EXPECT_NE(corpus->Find("next"), nullptr);
-    EXPECT_EQ(corpus->Find("lost"), nullptr);
-    EXPECT_TRUE(corpus->VerifyAll().ok());
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("lost", MakeSyntheticRecording(300)).ok());
+    // No Finish: no trailer was written, so nothing is published.
   }
+  EXPECT_GE(FileSizeBytes(path.get()), before_size);  // never shrinks
+  auto corpus = CorpusReader::Open(path.get());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ASSERT_EQ(corpus->entries().size(), 1u);
+  EXPECT_EQ(corpus->Find("lost"), nullptr);
+  EXPECT_EQ(corpus->generation(), 1u);
+  EXPECT_GT(corpus->dead_bytes(), 0u);  // the torn staged bytes
+  EXPECT_TRUE(corpus->VerifyAll().ok());
+
+  // A later append overwrites the torn bytes and publishes normally.
+  {
+    auto writer = CorpusWriter::AppendTo(path.get());
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("next", MakeSyntheticRecording(100)).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  ASSERT_TRUE(corpus->Reopen().ok());
+  ASSERT_EQ(corpus->entries().size(), 2u);
+  EXPECT_EQ(corpus->generation(), 2u);
+  EXPECT_NE(corpus->Find("next"), nullptr);
+  EXPECT_EQ(corpus->Find("lost"), nullptr);
+  EXPECT_TRUE(corpus->VerifyAll().ok());
 }
 
 // ------------------------------------------- In-place journal appends
@@ -1051,8 +1019,7 @@ TEST(CorpusJournalTest, V1SingleTrailerLogicRejectsJournaledBundles) {
 
 // CompactCorpus is the explicit journal squash: compacting a journaled
 // bundle with an empty drop set produces the bit-identical file a
-// single-shot build of the same entries would — and rewrite-mode
-// AppendTo canonicalizes the same way while appending.
+// single-shot build of the same entries would.
 TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
   const RecordedExecution r1 = MakeSyntheticRecording(400, 1);
   const RecordedExecution r2 = MakeSyntheticRecording(500, 2);
@@ -1070,22 +1037,17 @@ TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
     ASSERT_TRUE(writer.Finish().ok());
   }
 
-  const auto build_journaled = [&](const std::string& path) {
-    CorpusWriter writer(path);
+  ScopedPath journaled("squashjournal");
+  {
+    CorpusWriter writer(journaled.get());
     ASSERT_TRUE(writer.Begin().ok());
     ASSERT_TRUE(writer.Add("a", r1, options).ok());
     ASSERT_TRUE(writer.Finish().ok());
-    auto append = CorpusWriter::AppendTo(path);
-    ASSERT_TRUE(append.ok()) << append.status();
-    ASSERT_TRUE((*append)->Add("b", r2, options).ok());
-    ASSERT_TRUE((*append)->Finish().ok());
-  };
-
-  ScopedPath journaled("squashjournal");
-  build_journaled(journaled.get());
+  }
   {
     auto writer = CorpusWriter::AppendTo(journaled.get());
     ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Add("b", r2, options).ok());
     ASSERT_TRUE((*writer)->Add("c", r3, options).ok());
     ASSERT_TRUE((*writer)->Finish().ok());
   }
@@ -1101,17 +1063,6 @@ TEST(CorpusJournalTest, CompactSquashesJournalToSingleShotBytes) {
   EXPECT_FALSE(corpus->journaled());
   EXPECT_EQ(corpus->dead_bytes(), 0u);
   EXPECT_TRUE(corpus->VerifyAll().ok());
-
-  // Rewrite-mode append onto a journaled bundle canonicalizes too.
-  ScopedPath rewritten("squashrewrite");
-  build_journaled(rewritten.get());
-  {
-    auto writer = CorpusWriter::AppendTo(rewritten.get(), RewriteMode());
-    ASSERT_TRUE(writer.ok()) << writer.status();
-    ASSERT_TRUE((*writer)->Add("c", r3, options).ok());
-    ASSERT_TRUE((*writer)->Finish().ok());
-  }
-  EXPECT_EQ(ReadFileBytes(single.get()), ReadFileBytes(rewritten.get()));
 }
 
 // A delta-chained bundle is observationally identical to the single-shot
@@ -1786,7 +1737,6 @@ TEST(BatchRunnerTest, WritesCorpusAndReportEndToEnd) {
   options.models = {DeterminismModel::kPerfect, DeterminismModel::kFailure};
   options.corpus_path = corpus_path.get();
   options.trace_options.events_per_chunk = 64;
-  options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
 
   auto report = BatchRunner(FastScenarios(), options).Run();
   ASSERT_TRUE(report.ok()) << report.status();
@@ -1846,7 +1796,6 @@ TEST(BatchRunnerTest, SharedReaderParallelReplayMatchesAcrossBackends) {
   options.models = {DeterminismModel::kPerfect, DeterminismModel::kValue,
                     DeterminismModel::kFailure};
   options.corpus_path = corpus_path.get();
-  options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
   auto built = BatchRunner(FastScenarios(), options).Run();
   ASSERT_TRUE(built.ok()) << built.status();
 
@@ -2037,7 +1986,6 @@ TEST(BatchRunnerTest, BundledScenarioChunksDecodeIdenticallyOnBothPaths) {
   BatchOptions options;
   options.threads = 4;
   options.corpus_path = path.get();
-  options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
   options.trace_options.events_per_chunk = 256;
   const std::vector<BugScenario> scenarios = AllBugScenarios();
   auto built = BatchRunner(scenarios, options).Run();

@@ -355,32 +355,28 @@ TEST(TraceReaderTest, PartialRangeReadsTouchOnlyCoveringChunks) {
 }
 
 // The same DDRT file decodes to bit-identical logs through the
-// pread and mmap backends, filtered chunks included, and Verify stays
-// green on both.
+// pread and mmap backends, and Verify stays green on both.
 TEST(TraceReaderTest, IoBackendsDecodeBitIdentically) {
-  for (TraceFilter filter : {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    const RecordedExecution recording = MakeSyntheticRecording(3000);
-    ScopedTracePath path("backends");
-    TraceWriteOptions options;
-    options.events_per_chunk = 256;
-    options.chunk_filter = filter;
-    ASSERT_TRUE(TraceWriter(options).WriteFile(path.get(), recording).ok());
+  const RecordedExecution recording = MakeSyntheticRecording(3000);
+  ScopedTracePath path("backends");
+  TraceWriteOptions options;
+  options.events_per_chunk = 256;
+  ASSERT_TRUE(TraceWriter(options).WriteFile(path.get(), recording).ok());
 
-    std::vector<std::vector<uint8_t>> logs;
-    for (IoBackend backend : {IoBackend::kPread, IoBackend::kMmap}) {
-      TraceReaderOptions reader_options;
-      reader_options.io.backend = backend;
-      auto reader = TraceReader::Open(path.get(), reader_options);
-      ASSERT_TRUE(reader.ok()) << reader.status();
-      EXPECT_EQ(reader->io_backend(), backend);
-      EXPECT_TRUE(reader->Verify().ok()) << IoBackendName(backend);
-      auto log = reader->ReadAllEvents();
-      ASSERT_TRUE(log.ok()) << log.status();
-      logs.push_back(log->Encode());
-      EXPECT_GT(reader->bytes_read(), 0u);
-    }
-    EXPECT_EQ(logs[0], logs[1]);
+  std::vector<std::vector<uint8_t>> logs;
+  for (IoBackend backend : {IoBackend::kPread, IoBackend::kMmap}) {
+    TraceReaderOptions reader_options;
+    reader_options.io.backend = backend;
+    auto reader = TraceReader::Open(path.get(), reader_options);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_EQ(reader->io_backend(), backend);
+    EXPECT_TRUE(reader->Verify().ok()) << IoBackendName(backend);
+    auto log = reader->ReadAllEvents();
+    ASSERT_TRUE(log.ok()) << log.status();
+    logs.push_back(log->Encode());
+    EXPECT_GT(reader->bytes_read(), 0u);
   }
+  EXPECT_EQ(logs[0], logs[1]);
 }
 
 // A TraceReader with an attached ChunkCache decodes every chunk once:
@@ -416,36 +412,33 @@ TEST(TraceReaderTest, AttachedCacheMakesRereadsFree) {
   EXPECT_EQ(reader->bytes_read(), before);
 }
 
-// ------------------------------------------------- Streaming + filters
+// ---------------------------------------------- Streaming + chunk layout
 
 // The streaming writer produces byte-identical output to the buffered
 // Serialize path, whatever the append batching — so recordings streamed
 // during a run and recordings serialized afterwards are interchangeable.
-TEST(StreamingWriterTest, MatchesBufferedSerializeForBothFilters) {
+TEST(StreamingWriterTest, MatchesBufferedSerialize) {
   const RecordedExecution recording = MakeSyntheticRecording(1000);
-  for (TraceFilter filter : {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    TraceWriteOptions options;
-    options.events_per_chunk = 128;
-    options.checkpoint_interval = 100;
-    options.chunk_filter = filter;
-    const std::vector<uint8_t> buffered = TraceWriter(options).Serialize(recording);
+  TraceWriteOptions options;
+  options.events_per_chunk = 128;
+  options.checkpoint_interval = 100;
+  const std::vector<uint8_t> buffered =
+      TraceWriter(options).Serialize(recording);
 
-    BufferByteSink sink;
-    StreamingTraceWriter writer(&sink, options);
-    ASSERT_TRUE(writer.Begin().ok());
-    const std::vector<Event>& events = recording.log.events();
-    for (size_t i = 0; i < events.size();) {
-      const size_t batch = std::min<size_t>(1 + i % 53, events.size() - i);
-      ASSERT_TRUE(writer.AppendEvents(events.data() + i, batch).ok());
-      i += batch;
-    }
-    ASSERT_TRUE(writer.Finish(FinishInfoFor(recording)).ok());
-
-    EXPECT_EQ(sink.buffer(), buffered)
-        << "filter " << static_cast<int>(filter);
-    EXPECT_EQ(writer.bytes_written(), buffered.size());
-    EXPECT_EQ(writer.events_written(), events.size());
+  BufferByteSink sink;
+  StreamingTraceWriter writer(&sink, options);
+  ASSERT_TRUE(writer.Begin().ok());
+  const std::vector<Event>& events = recording.log.events();
+  for (size_t i = 0; i < events.size();) {
+    const size_t batch = std::min<size_t>(1 + i % 53, events.size() - i);
+    ASSERT_TRUE(writer.AppendEvents(events.data() + i, batch).ok());
+    i += batch;
   }
+  ASSERT_TRUE(writer.Finish(FinishInfoFor(recording)).ok());
+
+  EXPECT_EQ(sink.buffer(), buffered);
+  EXPECT_EQ(writer.bytes_written(), buffered.size());
+  EXPECT_EQ(writer.events_written(), events.size());
 }
 
 TEST(StreamingWriterTest, RejectsOutOfOrderLifecycle) {
@@ -460,58 +453,172 @@ TEST(StreamingWriterTest, RejectsOutOfOrderLifecycle) {
   EXPECT_FALSE(writer.Finish({}).ok());  // twice
 }
 
-// The varint-delta chunk filter round-trips every event and beats the
-// unfiltered encoding on disk (ddrz alone got only ~1.1x on varint-dense
-// chunks; the columnar delta layout is what gives it runs to work with).
+// The columnar varint-delta chunk layout round-trips every event, and
+// with ddrz on top the whole file is well under half the bytes of the
+// row-per-event encoding the recorded-bytes ledger counts (ddrz alone
+// got only ~1.1x on varint-dense rows; the columnar delta layout is what
+// gives it runs to work with).
 TEST(ChunkFilterTest, VarintDeltaRoundtripsAndShrinks) {
   const RecordedExecution recording = MakeSyntheticRecording(4000);
-  TraceWriteOptions plain;
-  plain.events_per_chunk = 512;
-  TraceWriteOptions delta = plain;
-  delta.chunk_filter = TraceFilter::kVarintDelta;
+  TraceWriteOptions options;
+  options.events_per_chunk = 512;
+  const std::vector<uint8_t> image = TraceWriter(options).Serialize(recording);
+  EXPECT_LT(image.size() * 2, recording.log.encoded_size_bytes());
 
-  const std::vector<uint8_t> plain_image = TraceWriter(plain).Serialize(recording);
-  const std::vector<uint8_t> delta_image = TraceWriter(delta).Serialize(recording);
-  EXPECT_LT(delta_image.size(), plain_image.size());
+  ScopedTracePath path("filter");
+  ASSERT_TRUE(TraceWriter(options).WriteFile(path.get(), recording).ok());
+  auto loaded = LoadTrace(path.get());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->log.size(), recording.log.size());
+  for (size_t i = 0; i < recording.log.size(); ++i) {
+    EXPECT_EQ(loaded->log.events()[i].SemanticHash(),
+              recording.log.events()[i].SemanticHash());
+    EXPECT_EQ(loaded->log.events()[i].seq, recording.log.events()[i].seq);
+    EXPECT_EQ(loaded->log.events()[i].time, recording.log.events()[i].time);
+  }
+  EXPECT_EQ(loaded->log.encoded_size_bytes(),
+            recording.log.encoded_size_bytes());
+  EXPECT_TRUE(VerifyTrace(path.get()).ok());
+}
 
-  for (const TraceWriteOptions& options : {plain, delta}) {
-    ScopedTracePath path("filter");
-    ASSERT_TRUE(TraceWriter(options).WriteFile(path.get(), recording).ok());
-    auto loaded = LoadTrace(path.get());
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    ASSERT_EQ(loaded->log.size(), recording.log.size());
-    for (size_t i = 0; i < recording.log.size(); ++i) {
-      EXPECT_EQ(loaded->log.events()[i].SemanticHash(),
-                recording.log.events()[i].SemanticHash());
-      EXPECT_EQ(loaded->log.events()[i].seq, recording.log.events()[i].seq);
-      EXPECT_EQ(loaded->log.events()[i].time, recording.log.events()[i].time);
+// A DDRT image assembled section by section, for layouts the writer does
+// not produce: `version` goes in the header, and every event chunk is
+// framed with `filter` — a row payload (each event in Event::EncodeTo
+// order, the retired version-1 layout) for kNone, the writer's columnar
+// payload for kVarintDelta.
+std::vector<uint8_t> HandBuiltImage(const RecordedExecution& recording,
+                                    uint32_t version, TraceFilter filter) {
+  constexpr uint64_t kEventsPerChunk = 100;
+  Encoder header;
+  header.PutFixed32(kTraceFileMagic);
+  header.PutFixed32(version);
+  header.PutFixed32(0);  // flags
+  std::vector<uint8_t> image = header.TakeBuffer();
+
+  const std::vector<Event>& events = recording.log.events();
+  TraceFooter footer;
+  for (uint64_t first = 0; first < events.size(); first += kEventsPerChunk) {
+    const uint64_t count =
+        std::min<uint64_t>(kEventsPerChunk, events.size() - first);
+    std::vector<uint8_t> payload;
+    if (filter == TraceFilter::kNone) {
+      Encoder rows;
+      rows.PutVarint64(first);
+      rows.PutVarint64(count);
+      for (uint64_t i = 0; i < count; ++i) {
+        events[first + i].EncodeTo(&rows);
+      }
+      payload = rows.TakeBuffer();
+    } else {
+      payload = EncodeEventChunkPayload(events.data() + first, count, first);
     }
-    EXPECT_EQ(loaded->log.encoded_size_bytes(),
-              recording.log.encoded_size_bytes());
-    EXPECT_TRUE(VerifyTrace(path.get()).ok());
+    TraceChunkInfo chunk;
+    chunk.file_offset = AppendTraceSection(&image, TraceSection::kEventChunk,
+                                           payload, true, filter);
+    chunk.first_event = first;
+    chunk.event_count = count;
+    footer.chunks.push_back(chunk);
+  }
+  footer.total_events = events.size();
+
+  TraceMetadata meta;
+  meta.model = recording.model;
+  meta.event_count = events.size();
+  meta.events_per_chunk = kEventsPerChunk;
+  meta.recorded_events = recording.recorded_events;
+  meta.intercepted_events = recording.intercepted_events;
+  footer.metadata_offset =
+      AppendTraceSection(&image, TraceSection::kMetadata, meta.Encode(), true);
+  footer.snapshot_offset = AppendTraceSection(
+      &image, TraceSection::kSnapshot, recording.snapshot.Encode(), true);
+  footer.checkpoint_offset =
+      AppendTraceSection(&image, TraceSection::kCheckpointIndex,
+                         CheckpointIndex().Encode(), true);
+  const uint64_t footer_offset =
+      AppendTraceSection(&image, TraceSection::kFooter, footer.Encode(), false);
+  Encoder trailer;
+  trailer.PutFixed64(footer_offset);
+  trailer.PutFixed32(kTraceTrailerMagic);
+  image.insert(image.end(), trailer.buffer().begin(), trailer.buffer().end());
+  return image;
+}
+
+void WriteImage(const std::string& path, const std::vector<uint8_t>& image) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+// The hand-built image is a faithful DDRT file when it uses the writer's
+// own layout, so the refusals below are about the layout, not the
+// builder.
+TEST(ChunkFilterTest, HandBuiltColumnarImageReads) {
+  const RecordedExecution recording = MakeSyntheticRecording(450);
+  ScopedTracePath path("handbuilt");
+  WriteImage(path.get(), HandBuiltImage(recording, kTraceFormatVersion,
+                                        TraceFilter::kVarintDelta));
+  auto reader = TraceReader::Open(path.get());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_TRUE(reader->Verify().ok());
+  auto log = reader->ReadAllEvents();
+  ASSERT_TRUE(log.ok()) << log.status();
+  EXPECT_EQ(log->Encode(), recording.log.Encode());
+}
+
+// Writers stamp header version 2, and a version-1 file (row chunks) is
+// refused at Open with a clean version error on both backends.
+TEST(ChunkFilterTest, VersionOneImagesAreRefused) {
+  const RecordedExecution recording = MakeSyntheticRecording(300);
+  const std::vector<uint8_t> written = TraceWriter().Serialize(recording);
+  Decoder decoder(written.data(), 8);
+  ASSERT_TRUE(decoder.GetFixed32().ok());
+  auto version = decoder.GetFixed32();
+  ASSERT_TRUE(version.ok());
+  EXPECT_EQ(*version, 2u);
+
+  ScopedTracePath path("version1");
+  WriteImage(path.get(), HandBuiltImage(recording, 1, TraceFilter::kNone));
+  for (IoBackend backend : {IoBackend::kPread, IoBackend::kMmap}) {
+    TraceReaderOptions reader_options;
+    reader_options.io.backend = backend;
+    auto reader = TraceReader::Open(path.get(), reader_options);
+    ASSERT_FALSE(reader.ok()) << IoBackendName(backend);
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(reader.status().message().find(
+                  "unsupported trace format version 1"),
+              std::string::npos)
+        << reader.status();
   }
 }
 
-// Filtered files advertise themselves through the header version, so a
-// reader that only understands version 1 diagnoses them cleanly.
-TEST(ChunkFilterTest, FilteredFilesStampHeaderVersionTwo) {
-  const RecordedExecution recording = MakeSyntheticRecording(100);
-  for (TraceFilter filter : {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    TraceWriteOptions options;
-    options.chunk_filter = filter;
-    const std::vector<uint8_t> image = TraceWriter(options).Serialize(recording);
-    Decoder decoder(image.data(), 8);
-    ASSERT_TRUE(decoder.GetFixed32().ok());
-    auto version = decoder.GetFixed32();
-    ASSERT_TRUE(version.ok());
-    EXPECT_EQ(*version, filter == TraceFilter::kNone
-                            ? kTraceFormatVersion
-                            : kTraceFormatVersionFiltered);
-  }
+// A version-2 image whose event chunks carry row payloads (filter kNone)
+// opens — the framing is well-formed — but every chunk decode refuses it.
+TEST(ChunkFilterTest, RowChunksInVersionTwoImageAreRefused) {
+  const RecordedExecution recording = MakeSyntheticRecording(300);
+  ScopedTracePath path("rowchunks");
+  WriteImage(path.get(), HandBuiltImage(recording, kTraceFormatVersion,
+                                        TraceFilter::kNone));
+  auto reader = TraceReader::Open(path.get());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto log = reader->ReadAllEvents();
+  ASSERT_FALSE(log.ok());
+  EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument);
+  const Status verified = reader->Verify();
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
+
+  const std::vector<Event>& events = recording.log.events();
+  const std::vector<uint8_t> payload =
+      EncodeEventChunkPayload(events.data(), events.size(), 0);
+  auto decoded =
+      DecodeEventChunkPayload(payload, TraceFilter::kNone, 0, events.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
-// A crafted type byte must fail at Event::DecodeFrom (the row-path decode
-// chokepoint), never reach EventLog's per-type counter array.
+// A crafted type byte must fail at Event::DecodeFrom (the chokepoint of
+// EventLog::Decode), never reach EventLog's per-type counter array.
 TEST(ChunkFilterTest, CraftedEventTypeFailsCleanly) {
   Encoder encoder;
   encoder.PutVarint64(0);    // seq
@@ -528,6 +635,36 @@ TEST(ChunkFilterTest, CraftedEventTypeFailsCleanly) {
   auto decoded = Event::DecodeFrom(&decoder);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The same guard in the columnar type column, on both decode paths.
+TEST(ChunkFilterTest, CraftedColumnarEventTypeFailsCleanly) {
+  const RecordedExecution recording = MakeSyntheticRecording(40);
+  std::vector<Event> events = recording.log.events();
+  const std::vector<uint8_t> good =
+      EncodeEventChunkPayload(events.data(), events.size(), 0);
+  // Re-encode with one event's type set to a sentinel, then overwrite
+  // that single byte (the type column is fixed8, one byte per event).
+  events[17].type = EventType::kNodeCrash;
+  std::vector<uint8_t> crafted =
+      EncodeEventChunkPayload(events.data(), events.size(), 0);
+  ASSERT_EQ(crafted.size(), good.size());
+  size_t type_byte = crafted.size();
+  for (size_t i = 0; i < crafted.size(); ++i) {
+    if (crafted[i] != good[i]) {
+      type_byte = i;
+      break;
+    }
+  }
+  ASSERT_LT(type_byte, crafted.size());
+  crafted[type_byte] = 200;
+  for (const ColumnarDecodePath decode_path :
+       {ColumnarDecodePath::kScalar, ColumnarDecodePath::kBatched}) {
+    auto decoded = DecodeEventChunkPayloadWithPath(
+        crafted, TraceFilter::kVarintDelta, 0, events.size(), decode_path);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // A self-consistent but crafted columnar count must fail with a Status in
@@ -551,7 +688,6 @@ TEST(ChunkFilterTest, CorruptDeltaChunksFailCleanly) {
   const RecordedExecution recording = MakeSyntheticRecording(1000);
   TraceWriteOptions options;
   options.events_per_chunk = 100;
-  options.chunk_filter = TraceFilter::kVarintDelta;
   const std::vector<uint8_t> image = TraceWriter(options).Serialize(recording);
 
   ScopedTracePath path("deltacorrupt");
@@ -589,19 +725,18 @@ void ExpectEventsIdentical(const std::vector<Event>& a,
 TEST(ChunkFilterTest, ScalarAndBatchedDecodeBitIdentical) {
   const RecordedExecution recording = MakeSyntheticRecording(1500);
   const std::vector<Event>& events = recording.log.events();
-  for (const TraceFilter filter :
-       {TraceFilter::kNone, TraceFilter::kVarintDelta}) {
-    const std::vector<uint8_t> payload = EncodeEventChunkPayload(
-        events.data(), events.size(), /*first_event=*/0, filter);
-    auto scalar = DecodeEventChunkPayloadWithPath(
-        payload, filter, 0, events.size(), ColumnarDecodePath::kScalar);
-    auto batched = DecodeEventChunkPayloadWithPath(
-        payload, filter, 0, events.size(), ColumnarDecodePath::kBatched);
-    ASSERT_TRUE(scalar.ok()) << scalar.status();
-    ASSERT_TRUE(batched.ok()) << batched.status();
-    ExpectEventsIdentical(*scalar, *batched);
-    ExpectEventsIdentical(*batched, events);
-  }
+  const std::vector<uint8_t> payload =
+      EncodeEventChunkPayload(events.data(), events.size(), /*first_event=*/0);
+  auto scalar = DecodeEventChunkPayloadWithPath(
+      payload, TraceFilter::kVarintDelta, 0, events.size(),
+      ColumnarDecodePath::kScalar);
+  auto batched = DecodeEventChunkPayloadWithPath(
+      payload, TraceFilter::kVarintDelta, 0, events.size(),
+      ColumnarDecodePath::kBatched);
+  ASSERT_TRUE(scalar.ok()) << scalar.status();
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  ExpectEventsIdentical(*scalar, *batched);
+  ExpectEventsIdentical(*batched, events);
 }
 
 // The count clamp must fire before the up-front vector allocation for
@@ -633,9 +768,8 @@ TEST(ChunkFilterTest, CraftedHugeColumnarCountFailsOnBothPaths) {
 TEST(ChunkFilterTest, CorruptionSweepAgreesAcrossDecodePaths) {
   const RecordedExecution recording = MakeSyntheticRecording(600, /*seed=*/7);
   const std::vector<Event>& events = recording.log.events();
-  const std::vector<uint8_t> payload = EncodeEventChunkPayload(
-      events.data(), events.size(), /*first_event=*/0,
-      TraceFilter::kVarintDelta);
+  const std::vector<uint8_t> payload =
+      EncodeEventChunkPayload(events.data(), events.size(), /*first_event=*/0);
 
   const auto decode_both = [&](const std::vector<uint8_t>& bytes,
                                const char* what, size_t at) {

@@ -15,7 +15,7 @@
 //                                             run a bundled bug scenario and
 //                                             save its recording
 //   ddr-trace corpus build  <file> [--scenarios a,b] [--models m1,m2]
-//                           [--threads N] [--chunk N] [--ckpt N] [--delta]
+//                           [--threads N] [--chunk N] [--ckpt N]
 //                           [--report path]   batch-record every scenario x
 //                                             model into one DDRC bundle
 //   ddr-trace corpus info   <file>            list bundle entries
@@ -25,13 +25,16 @@
 //   ddr-trace corpus append <file> [build flags]
 //                                             record only the scenario x
 //                                             model cells missing from the
-//                                             bundle and append them
+//                                             bundle and journal them in
+//                                             place (O(new cells) bytes)
 //   ddr-trace corpus merge  <out> <in>... [--on-collision fail|skip|rename-suffix]
 //                                             combine bundles, copying
 //                                             images byte-for-byte
-//   ddr-trace corpus compact <file> --drop a,b
+//   ddr-trace corpus compact <file> [--drop a,b]
 //                                             drop named entries, rewrite
-//                                             the survivors
+//                                             the survivors; with no --drop,
+//                                             squash appends into the
+//                                             canonical single-shot file
 //   ddr-trace serve <file> --socket <path>|--port <n> [--threads N]
 //                           [--queue N] [--watch-ms N]
 //                                             long-lived corpus server:
@@ -87,19 +90,13 @@ constexpr CliFlag kDumpFlags[] = {{"--io", true},
 constexpr CliFlag kReplayFlags[] = {{"--io", true},
                                     {"--cache-mb", true},
                                     {"--target", true}};
-constexpr CliFlag kRecordFlags[] = {{"--model", true},
-                                    {"--chunk", true},
-                                    {"--ckpt", true},
-                                    {"--delta", false}};
+constexpr CliFlag kRecordFlags[] = {
+    {"--model", true}, {"--chunk", true}, {"--ckpt", true}};
+// `corpus build` and `corpus append` take the same flags.
 constexpr CliFlag kCorpusBuildFlags[] = {
-    {"--scenarios", true}, {"--models", true},   {"--threads", true},
-    {"--chunk", true},     {"--ckpt", true},     {"--delta", false},
-    {"--report", true},    {"--io", true},       {"--cache-mb", true}};
-constexpr CliFlag kCorpusAppendFlags[] = {
-    {"--scenarios", true}, {"--models", true},   {"--threads", true},
-    {"--chunk", true},     {"--ckpt", true},     {"--delta", false},
-    {"--report", true},    {"--io", true},       {"--cache-mb", true},
-    {"--in-place", false}, {"--rewrite", false}};
+    {"--scenarios", true}, {"--models", true}, {"--threads", true},
+    {"--chunk", true},     {"--ckpt", true},   {"--report", true},
+    {"--io", true},        {"--cache-mb", true}};
 constexpr CliFlag kCorpusReplayFlags[] = {{"--threads", true},
                                           {"--report", true},
                                           {"--io", true},
@@ -134,18 +131,18 @@ void PrintUsage() {
                "  verify <file>                   verify CRCs and structure\n"
                "  replay <file> [--target N]      replay the recording\n"
                "  record <scenario> <file> [--model NAME] [--chunk N] "
-               "[--ckpt N] [--delta]\n"
+               "[--ckpt N]\n"
                "  corpus build  <file> [--scenarios a,b] [--models m1,m2]\n"
                "                [--threads N] [--chunk N] [--ckpt N] "
-               "[--delta] [--report path]\n"
+               "[--report path]\n"
                "  corpus info   <file>\n"
                "  corpus verify <file>\n"
                "  corpus replay <file> [--threads N] [--report path]\n"
-               "  corpus append <file> [build flags] [--in-place|--rewrite]\n"
-               "                record + append only missing cells; --in-place"
-               " (default)\n"
-               "                journals O(delta) bytes, --rewrite rebuilds "
-               "the canonical file\n"
+               "  corpus append <file> [build flags]\n"
+               "                record + journal only missing cells (O(delta) "
+               "bytes);\n"
+               "                'corpus compact <file>' then gives the "
+               "canonical file\n"
                "  corpus merge  <out> <in>... [--on-collision "
                "fail|skip|rename-suffix]\n"
                "  corpus compact <file> [--drop name1,name2]\n"
@@ -496,9 +493,6 @@ int RecordScenario(const std::string& scenario_name, const std::string& path,
   TraceWriteOptions options;
   options.events_per_chunk = ParseFlag(argc, argv, "--chunk", 512);
   options.checkpoint_interval = ParseFlag(argc, argv, "--ckpt", 256);
-  if (HasFlag(argc, argv, "--delta")) {
-    options.chunk_filter = TraceFilter::kVarintDelta;
-  }
   const Status saved = harness.SaveRecording(recording, path, options);
   if (!saved.ok()) {
     std::fprintf(stderr, "ddr-trace: %s\n", saved.ToString().c_str());
@@ -589,21 +583,9 @@ int CorpusBuild(const std::string& path, bool append, int argc, char** argv) {
     // commands (append decodes nothing, so it has no cache to size).
     options.resume_io = IoOptionsFromFlags(argc, argv);
     ParseCacheBytesFlag(argc, argv);
-    const bool in_place = HasFlag(argc, argv, "--in-place");
-    const bool rewrite = HasFlag(argc, argv, "--rewrite");
-    if (in_place && rewrite) {
-      std::fprintf(stderr,
-                   "ddr-trace: --in-place and --rewrite are exclusive\n");
-      return 1;
-    }
-    options.resume_mode =
-        rewrite ? CorpusAppendMode::kRewrite : CorpusAppendMode::kInPlace;
   }
   options.trace_options.events_per_chunk = ParseFlag(argc, argv, "--chunk", 512);
   options.trace_options.checkpoint_interval = ParseFlag(argc, argv, "--ckpt", 256);
-  if (HasFlag(argc, argv, "--delta")) {
-    options.trace_options.chunk_filter = TraceFilter::kVarintDelta;
-  }
 
   auto report = BatchRunner(std::move(scenarios), options).Run();
   if (!report.ok()) {
@@ -1234,7 +1216,7 @@ int CorpusMain(int argc, char** argv) {
     return CorpusBuild(path, /*append=*/false, argc, argv);
   }
   if (subcommand == "append") {
-    RequireKnownFlags(argc, argv, kCorpusAppendFlags);
+    RequireKnownFlags(argc, argv, kCorpusBuildFlags);
     return CorpusBuild(path, /*append=*/true, argc, argv);
   }
   if (subcommand == "merge") {
